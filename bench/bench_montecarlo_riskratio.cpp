@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
       {"ACAS-XU", sim::AcasXuCas::factory(table)},
   };
 
-  // One ValidationCampaign per system (the primary validation surface —
-  // estimate_rates is its deprecated single-stripe wrapper).
+  // One ValidationCampaign per system, all over the same paired traffic.
   std::vector<core::SystemRates> results;
   for (const Row& row : rows) {
     const core::ValidationCampaign campaign(model, config, row.name, row.factory, row.factory);

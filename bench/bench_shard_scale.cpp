@@ -4,8 +4,6 @@
 // workers are added.  Determinism is the hard gate (non-zero exit on any
 // mismatch); the >=1.5x speedup at 2 workers is an expectation printed as
 // a warning — single-core CI boxes can't honor it and must not fail.
-// A 2-way sharded offline solve rides along as a second determinism probe
-// of the dist layer (tau-layer sweeps reassembled across processes).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -13,10 +11,8 @@
 #include <thread>
 #include <vector>
 
-#include "acasx/offline_solver.h"
 #include "bench_common.h"
 #include "dist/campaign_driver.h"
-#include "dist/solve_driver.h"
 
 namespace {
 
@@ -100,36 +96,6 @@ int main(int argc, char** argv) {
   } else {
     std::printf("2-worker speedup meets the >=1.5x expectation on this %u-core host\n", cores);
   }
-
-  // Second determinism probe: a 2-way sharded offline solve (tau layers
-  // swept by grid slice across the fleet) against the serial solver.  The
-  // coarse space keeps this bounded in every mode.
-  const acasx::AcasXuConfig solve_config = acasx::AcasXuConfig::coarse();
-  const auto serial_t0 = std::chrono::steady_clock::now();
-  const acasx::LogicTable serial = acasx::solve_logic_table(solve_config);
-  const double serial_s = seconds_since(serial_t0);
-
-  dist::SolveDriverOptions solve_options;
-  solve_options.num_workers = 2;
-  dist::ShardedSolveReport report;
-  const std::string image = bench::output_dir() + "/e17_pair_stencils.cavt";
-  const auto sharded_t0 = std::chrono::steady_clock::now();
-  const acasx::LogicTable sharded =
-      dist::solve_logic_table_sharded(solve_config, image, solve_options, &report);
-  const double sharded_s = seconds_since(sharded_t0);
-
-  bool solve_identical = sharded.num_entries() == serial.num_entries();
-  for (std::size_t i = 0; solve_identical && i < serial.num_entries(); ++i) {
-    solve_identical = sharded.values()[i] == serial.values()[i];
-  }
-  determinism_ok = determinism_ok && solve_identical;
-  std::printf("\n2-way sharded solve (coarse space): serial %.3f s, sharded %.3f s "
-              "(stencil compile %.3f s), bit-identical: %s\n",
-              serial_s, sharded_s, report.stencil_build_s,
-              solve_identical ? "yes" : "NO  <-- FAILURE");
-  bench::record_metric("e17.solve_serial_s", serial_s);
-  bench::record_metric("e17.solve_sharded_2w_s", sharded_s);
-  std::remove(image.c_str());
 
   if (!determinism_ok) {
     std::printf("\nFAIL: sharded execution perturbed the results — the bit-identity "

@@ -204,10 +204,9 @@ class JointLogicTable {
   void save(const std::string& path, serving::Quantization quant) const;
   void save(const std::string& path) const { save(path, serving::Quantization::kNone); }
 
-  /// Load into an OWNING table (copies / dequantizes the payload).  Files
-  /// in the pre-serving ad-hoc format (magic "JTX1") still load for one
-  /// release; saving always writes the image container.  Throws
-  /// serving::TableIoError (a std::runtime_error).
+  /// Load into an OWNING table (copies / dequantizes the payload).  Throws
+  /// serving::TableIoError (a std::runtime_error) on any file that is not
+  /// a "JNT2" image.
   static JointLogicTable load(const std::string& path);
 
   /// Zero-copy load over an unquantized (f32) image: values alias the
@@ -223,11 +222,6 @@ class JointLogicTable {
   /// Decode the config metadata of a "JNT2" image without touching its
   /// value payload — how PolicyServer serves quantized images directly.
   static JointConfig decode_config(const serving::TableImage& image);
-
-  /// Append the config's meta_f64/meta_u64 slabs to `writer` — the one
-  /// JointConfig codec, shared by save() and by every artifact that
-  /// embeds a joint solver config (stencil images).
-  static void encode_config(const JointConfig& config, serving::TableImageWriter& writer);
 
   /// The value payload, owning or mapped — the serving kernel's view.
   const float* values() const { return view_ != nullptr ? view_ : q_.data(); }

@@ -83,10 +83,9 @@ class LogicTable {
   void save(const std::string& path) const { save(path, serving::Quantization::kNone); }
 
   /// Load into an OWNING table: TableImage payloads are copied (and
-  /// dequantized when the image is f16/int8 — lossy, by design).  Files
-  /// written by the pre-serving ad-hoc format (magic "ACX1") still load
-  /// for one release; saving always writes the image container.
-  /// Throws serving::TableIoError (a std::runtime_error).
+  /// dequantized when the image is f16/int8 — lossy, by design).  Throws
+  /// serving::TableIoError (a std::runtime_error) on any file that is not
+  /// a "PAIR" image.
   static LogicTable load(const std::string& path);
 
   /// Zero-copy load: the returned table's values alias the mmap'd image
@@ -103,12 +102,6 @@ class LogicTable {
   /// Decode the config metadata of a "PAIR" image without touching its
   /// value payload — how PolicyServer serves quantized images directly.
   static AcasXuConfig decode_config(const serving::TableImage& image);
-
-  /// Append the config's meta_f64/meta_u64 slabs to `writer` — the one
-  /// AcasXuConfig codec, shared by save() and by every artifact that
-  /// embeds a solver config (stencil images, acasx/stencil_image.h).
-  /// decode_config reads the result back from any image kind.
-  static void encode_config(const AcasXuConfig& config, serving::TableImageWriter& writer);
 
   /// The value payload, owning or mapped — the serving kernel's view.
   const float* values() const { return view_ != nullptr ? view_ : q_.data(); }

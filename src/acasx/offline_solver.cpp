@@ -6,10 +6,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "acasx/dynamics.h"
-#include "acasx/stencil_image.h"
 #include "util/expect.h"
 
 namespace cav::acasx {
@@ -94,8 +94,8 @@ StencilRow build_stencil_row(const GridN<3>& grid, double h, double dh_own, doub
   return row;
 }
 
-StencilArrays build_stencils(const GridN<3>& grid, const DynamicsConfig& dyn,
-                             const std::array<NoiseSample, 3>& noise, ThreadPool* pool) {
+StencilSet build_stencils(const GridN<3>& grid, const DynamicsConfig& dyn,
+                          const std::array<NoiseSample, 3>& noise, ThreadPool* pool) {
   const std::size_t num_points = grid.size();
   const std::size_t num_rows = num_points * kNumAdvisories;
 
@@ -120,7 +120,7 @@ StencilArrays build_stencils(const GridN<3>& grid, const DynamicsConfig& dyn,
     build_range(0, num_points);
   }
 
-  StencilArrays set;
+  StencilSet set;
   set.group_offsets.assign(num_rows + 1, 0);
   std::size_t num_groups = 0;
   std::size_t num_entries = 0;
@@ -146,6 +146,61 @@ StencilArrays build_stencils(const GridN<3>& grid, const DynamicsConfig& dyn,
     row = StencilRow{};  // release per-row heap early; caps peak memory at ~1x
   }
   return set;
+}
+
+/// Fill the terminal (tau = 0) value layer: out[g * kNumAdvisories + ra],
+/// sized num_grid_points * kNumAdvisories.
+void fill_pair_terminal_layer(const AcasXuConfig& config, std::span<float> out) {
+  const GridN<3> grid = config.space.grid();
+  expect(out.size() == grid.size() * kNumAdvisories, "terminal layer buffer matches grid");
+  for (std::size_t g = 0; g < grid.size(); ++g) {
+    const auto idx = grid.unflatten(g);
+    const double h = grid.axis(0).value(idx[0]);
+    const float terminal =
+        (std::abs(h) <= config.costs.nmac_h_ft) ? static_cast<float>(config.costs.nmac_cost)
+                                                : 0.0F;
+    for (std::size_t ra = 0; ra < kNumAdvisories; ++ra) {
+      out[g * kNumAdvisories + ra] = terminal;
+    }
+  }
+}
+
+/// Apply one tau layer's stencil sweep to grid points [begin, end), given
+/// the full previous value layer.  Writes
+///   q_out[(g - begin) * kNumAdvisories^2 + ra * kNumAdvisories + a]
+///   v_out[(g - begin) * kNumAdvisories + ra]
+void sweep_pair_layer_range(const AcasXuConfig& config, const StencilSet& stencils,
+                            std::span<const float> v_prev, std::size_t begin, std::size_t end,
+                            float* q_out, float* v_out) {
+  for (std::size_t g = begin; g < end; ++g) {
+    std::array<double, kNumAdvisories> next_value{};
+    for (std::size_t a = 0; a < kNumAdvisories; ++a) {
+      const std::size_t r = g * kNumAdvisories + a;
+      double acc = 0.0;
+      for (std::size_t j = stencils.group_offsets[r]; j < stencils.group_offsets[r + 1]; ++j) {
+        double value = 0.0;
+        for (std::size_t k = stencils.entry_offsets[j]; k < stencils.entry_offsets[j + 1]; ++k) {
+          value += stencils.weight[k] *
+                   static_cast<double>(v_prev[stencils.vertex[k] * kNumAdvisories + a]);
+        }
+        acc += stencils.group_weight[j] * value;
+      }
+      next_value[a] = acc;
+    }
+    float* const q_row = q_out + (g - begin) * kNumAdvisories * kNumAdvisories;
+    float* const v_row = v_out + (g - begin) * kNumAdvisories;
+    for (std::size_t ra = 0; ra < kNumAdvisories; ++ra) {
+      double best = std::numeric_limits<double>::infinity();
+      for (std::size_t a = 0; a < kNumAdvisories; ++a) {
+        const double q = action_cost(static_cast<Advisory>(ra), static_cast<Advisory>(a),
+                                     config.costs) +
+                         next_value[a];
+        q_row[ra * kNumAdvisories + a] = static_cast<float>(q);
+        best = std::min(best, q);
+      }
+      v_row[ra] = static_cast<float>(best);
+    }
+  }
 }
 
 /// The tau backward induction shared by solve_logic_table and
@@ -261,10 +316,10 @@ LogicTable run_backward_induction(const AcasXuConfig& config, const StencilSet* 
 /// The one stencil-build entry point (grid + noise + timing), shared by
 /// solve_logic_table's stencil mode and CompiledAcasModel so the two build
 /// paths cannot diverge.
-StencilArrays build_stencils_for(const AcasXuConfig& config, ThreadPool* pool,
-                                 double& build_seconds) {
+StencilSet build_stencils_for(const AcasXuConfig& config, ThreadPool* pool,
+                              double& build_seconds) {
   const auto build_start = std::chrono::steady_clock::now();
-  StencilArrays stencils =
+  StencilSet stencils =
       build_stencils(config.space.grid(), config.dynamics,
                      sigma_samples(config.dynamics.accel_noise_sigma_fps2), pool);
   build_seconds =
@@ -274,55 +329,6 @@ StencilArrays build_stencils_for(const AcasXuConfig& config, ThreadPool* pool,
 
 }  // namespace
 
-void fill_pair_terminal_layer(const AcasXuConfig& config, std::span<float> out) {
-  const GridN<3> grid = config.space.grid();
-  expect(out.size() == grid.size() * kNumAdvisories, "terminal layer buffer matches grid");
-  for (std::size_t g = 0; g < grid.size(); ++g) {
-    const auto idx = grid.unflatten(g);
-    const double h = grid.axis(0).value(idx[0]);
-    const float terminal =
-        (std::abs(h) <= config.costs.nmac_h_ft) ? static_cast<float>(config.costs.nmac_cost)
-                                                : 0.0F;
-    for (std::size_t ra = 0; ra < kNumAdvisories; ++ra) {
-      out[g * kNumAdvisories + ra] = terminal;
-    }
-  }
-}
-
-void sweep_pair_layer_range(const AcasXuConfig& config, const StencilSet& stencils,
-                            std::span<const float> v_prev, std::size_t begin, std::size_t end,
-                            float* q_out, float* v_out) {
-  for (std::size_t g = begin; g < end; ++g) {
-    std::array<double, kNumAdvisories> next_value{};
-    for (std::size_t a = 0; a < kNumAdvisories; ++a) {
-      const std::size_t r = g * kNumAdvisories + a;
-      double acc = 0.0;
-      for (std::size_t j = stencils.group_offsets[r]; j < stencils.group_offsets[r + 1]; ++j) {
-        double value = 0.0;
-        for (std::size_t k = stencils.entry_offsets[j]; k < stencils.entry_offsets[j + 1]; ++k) {
-          value += stencils.weight[k] *
-                   static_cast<double>(v_prev[stencils.vertex[k] * kNumAdvisories + a]);
-        }
-        acc += stencils.group_weight[j] * value;
-      }
-      next_value[a] = acc;
-    }
-    float* const q_row = q_out + (g - begin) * kNumAdvisories * kNumAdvisories;
-    float* const v_row = v_out + (g - begin) * kNumAdvisories;
-    for (std::size_t ra = 0; ra < kNumAdvisories; ++ra) {
-      double best = std::numeric_limits<double>::infinity();
-      for (std::size_t a = 0; a < kNumAdvisories; ++a) {
-        const double q = action_cost(static_cast<Advisory>(ra), static_cast<Advisory>(a),
-                                     config.costs) +
-                         next_value[a];
-        q_row[ra * kNumAdvisories + a] = static_cast<float>(q);
-        best = std::min(best, q);
-      }
-      v_row[ra] = static_cast<float>(best);
-    }
-  }
-}
-
 LogicTable solve_logic_table(const AcasXuConfig& config, ThreadPool* pool, SolveStats* stats,
                              SolverMode mode) {
   const auto start_time = std::chrono::steady_clock::now();
@@ -330,7 +336,7 @@ LogicTable solve_logic_table(const AcasXuConfig& config, ThreadPool* pool, Solve
   StencilSet stencils;
   if (mode == SolverMode::kPrecompiledStencils) {
     double build_seconds = 0.0;
-    stencils = StencilSet::adopt(build_stencils_for(config, pool, build_seconds));
+    stencils = build_stencils_for(config, pool, build_seconds);
     if (stats != nullptr) {
       stats->stencil_entries = stencils.num_entries();
       stats->stencil_build_seconds = build_seconds;
@@ -342,17 +348,7 @@ LogicTable solve_logic_table(const AcasXuConfig& config, ThreadPool* pool, Solve
 
 CompiledAcasModel::CompiledAcasModel(const AcasXuConfig& config, ThreadPool* pool)
     : config_(config) {
-  stencils_ = StencilSet::adopt(build_stencils_for(config, pool, build_seconds_));
-}
-
-void CompiledAcasModel::save_stencils(const std::string& path) const {
-  save_stencil_image(path, config_, stencils_);
-}
-
-CompiledAcasModel CompiledAcasModel::open_stencils(const std::string& path) {
-  CompiledAcasModel model;
-  model.stencils_ = open_stencil_image(path, &model.config_);
-  return model;
+  stencils_ = build_stencils_for(config, pool, build_seconds_);
 }
 
 LogicTable CompiledAcasModel::solve(const CostModel& costs, ThreadPool* pool,

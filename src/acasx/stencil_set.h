@@ -13,57 +13,24 @@
 // pair-weighted outer sum) preserves the reference kernel's floating-
 // point evaluation order, so the stencil sweep is BIT-IDENTICAL to the
 // per-layer recomputation — only ~100x cheaper.
-//
-// Since PR 9 the arrays live behind read-only views: a StencilSet either
-// aliases owned vectors (the build path) or the mapping of a stencil
-// TableImage (acasx/stencil_image.h), so worker processes mmap compiled
-// stencils instead of recompiling them — zero-copy in both modes, and N
-// workers share one physical copy through the page cache.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
 namespace cav::acasx {
 
-/// Owned stencil arrays — what a build produces.  Offsets are stored as
-/// uint64 so the in-memory layout equals the on-disk slab layout.
-struct StencilArrays {
+/// One compiled stencil set.  Offsets are uint64; vertex indices are
+/// uint32, which covers every grid the solvers build.
+struct StencilSet {
   std::vector<std::uint64_t> group_offsets;  ///< row r -> group range
   std::vector<double> group_weight;          ///< per-group noise-pair probability
   std::vector<std::uint64_t> entry_offsets;  ///< group -> entry range
   std::vector<std::uint32_t> vertex;         ///< flat grid index of successor vertex
   std::vector<double> weight;                ///< multilinear interpolation weight
-};
-
-/// Read-only view of one compiled stencil set.  Cheap to copy; `storage`
-/// keeps the viewed memory alive (the owned arrays, or the mmap'd image).
-struct StencilSet {
-  std::span<const std::uint64_t> group_offsets;
-  std::span<const double> group_weight;
-  std::span<const std::uint64_t> entry_offsets;
-  std::span<const std::uint32_t> vertex;
-  std::span<const double> weight;
-  std::shared_ptr<const void> storage;
 
   std::size_t num_entries() const { return vertex.size(); }
-
-  /// Wrap freshly built arrays (the compile path).
-  static StencilSet adopt(StencilArrays arrays) {
-    auto owned = std::make_shared<const StencilArrays>(std::move(arrays));
-    StencilSet set;
-    set.group_offsets = owned->group_offsets;
-    set.group_weight = owned->group_weight;
-    set.entry_offsets = owned->entry_offsets;
-    set.vertex = owned->vertex;
-    set.weight = owned->weight;
-    set.storage = owned;
-    return set;
-  }
 };
 
 }  // namespace cav::acasx

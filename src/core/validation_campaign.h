@@ -1,10 +1,9 @@
-// The campaign/work-unit surface of Monte-Carlo validation (§IV) — the
-// primary entry point since PR 9; estimate_rates() is a single-stripe
-// campaign over the same kernel.
+// The campaign/work-unit surface of Monte-Carlo validation (§IV): the one
+// entry point for estimating a system's rates.
 //
 // A campaign is a fixed grid of CANONICAL ACCUMULATOR CELLS: cell c owns
 // the contiguous encounter indices [c*E/C, (c+1)*E/C) with C =
-// min(E, 64), exactly the striping the pre-campaign estimate_rates used.
+// min(E, 64).
 // Every execution — serial, thread-pooled, or sharded across processes —
 // accumulates each cell's partial (NMAC/alert counts, separation and
 // wall-clock sums) serially in index order, and a merge combines the
@@ -60,8 +59,8 @@ struct StripeResult {
 };
 
 /// A finished campaign.  `rates` is bit-identical to the single-process
-/// estimate_rates run whenever every stripe ran to completion (the
-/// degraded path re-runs lost stripes, which preserves this — see
+/// run() whenever every stripe ran to completion (the degraded path
+/// re-runs lost stripes, which preserves this — see
 /// dist::CampaignDriver).
 struct CampaignResult {
   SystemRates rates;
@@ -77,6 +76,14 @@ struct CampaignResult {
 /// cell-aligned slice of it.  The object is immutable after construction
 /// and safe to share across threads (run_stripe is const and keeps no
 /// mutable state).
+///
+/// `own_cas` equips the own-ship and `intruder_cas` each intruder that the
+/// equipage draw (see MonteCarloConfig::equipage_fraction) selects;
+/// unequipped intruders fly per `unequipped_behavior`; pass nullptr
+/// factories for unequipped flight.  Encounter geometries, disturbance
+/// seeds, equipage draws, and fault draws depend only on (config.seed,
+/// encounter index, agent index), so different systems face exactly the
+/// same traffic — paired comparison.
 class ValidationCampaign {
  public:
   ValidationCampaign(const encounter::StatisticalEncounterModel& model,
@@ -112,8 +119,7 @@ class ValidationCampaign {
   /// Accumulation walks cells in index order — the bit-identity contract.
   SystemRates merge(const std::vector<StripeResult>& results) const;
 
-  /// The whole campaign as a single stripe + merge — what
-  /// estimate_rates() wraps.
+  /// The whole campaign as a single stripe + merge.
   CampaignResult run(ThreadPool* pool = nullptr) const;
 
  private:

@@ -108,6 +108,21 @@ struct Run {
     }
   }
 
+  /// True when `result` answers the stripe `slot` has in flight: its
+  /// cells tile exactly that stripe's encounter range.  Anything else —
+  /// an unsolicited result, or one for other cells — would corrupt the
+  /// merge, so the caller treats the worker as lost.
+  bool answers_stripe(const Slot& slot, const core::StripeResult& result) const {
+    if (!slot.stripe.has_value()) return false;
+    const core::EncounterStripe& stripe = stripes[*slot.stripe];
+    const std::size_t cells = campaign->num_cells();
+    if (result.first_cell > cells || result.cells.size() > cells - result.first_cell) {
+      return false;
+    }
+    return campaign->cell_begin(result.first_cell) == stripe.begin &&
+           campaign->cell_begin(result.first_cell + result.cells.size()) == stripe.end;
+  }
+
   std::size_t live_workers() const {
     std::size_t n = 0;
     for (const Slot& s : slots) n += s.proc.alive() ? 1 : 0;
@@ -142,6 +157,10 @@ void drain_one_frame(Run& run, Slot& slot) {
       case MsgType::kStripeResult: {
         core::StripeResult result = decode_stripe_result(in);
         in.expect_end();
+        if (!run.answers_stripe(slot, result)) {
+          run.handle_death(slot, "stripe result does not match the stripe in flight");
+          return;
+        }
         slot.stripe.reset();
         run.results.push_back(std::move(result));
         if (run.options->on_result) {

@@ -10,10 +10,11 @@
 // tests/test_dist_campaign.cpp).
 //
 // Degraded-mode contract: a campaign NEVER hangs and never silently drops
-// encounters.  A worker that dies (EOF on its pipe) or blows the stripe
-// deadline is killed and reaped, its in-flight stripe is requeued, and a
-// replacement is spawned while the respawn budget lasts.  When no workers
-// remain, the driver finishes the queue in-process.  Every such event
+// encounters.  A worker that dies (EOF on its pipe), blows the stripe
+// deadline, or returns a result that does not tile its in-flight stripe
+// is killed and reaped, that stripe is requeued, and a replacement is
+// spawned while the respawn budget lasts.  When no workers remain, the
+// driver finishes the queue in-process.  Every such event
 // increments CampaignResult::requeues, sets `degraded`, and appends a
 // human-readable note — the rates themselves stay bit-identical, because
 // requeued stripes are re-RUN, not approximated.

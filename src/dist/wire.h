@@ -39,26 +39,25 @@ class ProtocolError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x57564143;  // "CAVW" little-endian
-/// Per-frame payload ceiling.  Large enough for a full joint slab of the
-/// standard table (~tens of MB); small enough that a corrupted length
-/// field fails fast instead of triggering a giant allocation.
-inline constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 31;
+/// Per-frame payload ceiling.  Campaign frames are small: a setup carries
+/// the encounter model, the Monte-Carlo config and the CAS specs (table
+/// image paths, not tables), and a stripe result at most 64 cells of 32
+/// bytes — a few KB either way.  16 MiB leaves ample headroom while a
+/// corrupted length field still fails fast instead of triggering a giant
+/// allocation.
+inline constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 24;
 
+/// Values are part of the wire format: the gaps are retired types, and a
+/// new type takes a fresh number rather than reusing one.
 enum class MsgType : std::uint32_t {
   // driver -> worker
-  kCampaignSetup = 1,   ///< model + MC config + system name + CAS specs
-  kRunStripe = 2,       ///< one EncounterStripe
-  kPairSolveSetup = 3,  ///< "STEN" stencil image path
-  kPairSweep = 4,       ///< tau layer slice: [begin, end) + full v_prev
-  kJointSolveSetup = 5, ///< "STE2" stencil image path
-  kJointSlab = 6,       ///< one (delta_bin, sense) slab
-  kShutdown = 7,        ///< orderly exit; no response
+  kCampaignSetup = 1,  ///< model + MC config + system name + CAS specs
+  kRunStripe = 2,      ///< one EncounterStripe
+  kShutdown = 7,       ///< orderly exit; no response
   // worker -> driver
-  kHello = 10,          ///< first frame after exec: protocol version + pid
+  kHello = 10,         ///< first frame after exec: protocol version + pid
   kStripeResult = 11,
-  kPairSweepResult = 12,
-  kJointSlabResult = 13,
-  kWorkerError = 14,    ///< human-readable failure; worker exits after
+  kWorkerError = 14,   ///< human-readable failure; worker exits after
 };
 
 inline constexpr std::uint32_t kProtocolVersion = 1;

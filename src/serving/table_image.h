@@ -20,8 +20,8 @@
 // image share one physical copy of the payload through the page cache,
 // which is what makes the 329 MB joint Q deployable fleet-wide.
 //
-// Endianness: fields and payloads are stored in host byte order like the
-// legacy format before it (the fleet is homogeneous little-endian).
+// Endianness: fields and payloads are stored in host byte order (the
+// fleet is homogeneous little-endian).
 #pragma once
 
 #include <cstddef>
@@ -43,7 +43,6 @@ enum class SlabType : std::uint32_t {
   kU64 = 3,
   kF16 = 4,  ///< IEEE 754 binary16, stored as uint16_t
   kU8 = 5,
-  kU32 = 6,  ///< stencil vertex indices (acasx/stencil_image.h)
 };
 
 template <typename T>
@@ -58,8 +57,6 @@ template <>
 constexpr SlabType slab_type_of<std::uint16_t>() { return SlabType::kF16; }
 template <>
 constexpr SlabType slab_type_of<std::uint8_t>() { return SlabType::kU8; }
-template <>
-constexpr SlabType slab_type_of<std::uint32_t>() { return SlabType::kU32; }
 
 /// Streaming writer: slabs are written to disk as they are added (the
 /// 329 MB joint Q is never double-buffered), the header + directory are
@@ -178,10 +175,6 @@ class TableImage {
   std::size_t map_bytes_ = 0;
   std::vector<Entry> entries_;
 };
-
-/// First four bytes of a file, or 0 when unreadable — how LogicTable::load
-/// dispatches between the legacy formats and TableImage.
-std::uint32_t peek_magic(const std::string& path);
 
 /// The container magic ("CAVT" little-endian).
 inline constexpr std::uint32_t kTableImageMagic = 0x54564143;

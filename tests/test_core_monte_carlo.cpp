@@ -1,9 +1,7 @@
 // Monte-Carlo harness tests: paired traffic, rate arithmetic, and the
 // qualitative system ordering (equipped safer than unequipped) on a small
 // but statistically sufficient sample.  Rates come from the campaign API
-// (core::ValidationCampaign — the primary surface since PR 9); the
-// deprecated estimate_rates wrapper keeps its own bit-identity assertion
-// in tests/test_core_campaign.cpp.
+// (core::ValidationCampaign).
 #include "core/monte_carlo.h"
 
 #include <gtest/gtest.h>
@@ -45,8 +43,7 @@ class MonteCarloTest : public ::testing::Test {
 std::shared_ptr<const acasx::LogicTable>* MonteCarloTest::table_ = nullptr;
 ThreadPool* MonteCarloTest::pool_ = nullptr;
 
-// The campaign-API spelling of the old estimate_rates call shape, so every
-// test below runs through the primary surface.
+// One whole campaign's rates: the call shape every test below shares.
 SystemRates campaign_rates(const encounter::StatisticalEncounterModel& model,
                            const MonteCarloConfig& config, const std::string& system_name,
                            const sim::CasFactory& own_cas, const sim::CasFactory& intruder_cas,

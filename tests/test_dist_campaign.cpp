@@ -13,6 +13,8 @@
 #include <signal.h>
 #include <stdlib.h>
 
+#include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "core/monte_carlo.h"
@@ -155,6 +157,54 @@ TEST(DistCampaignTest, UnspawnableWorkerBinaryFallsBackInProcess) {
   const core::CampaignResult result = run_sharded_campaign(spec, options);
   expect_rates_identical(result.rates, in_process_rates(spec));
   EXPECT_TRUE(result.degraded);
+}
+
+TEST(DistCampaignTest, MismatchedStripeResultIsRequeuedNotMerged) {
+  // A foreign worker binary (a bare cav_worker found on PATH, say) that
+  // speaks the protocol but answers every stripe with the wrong cells.
+  // Merging such a result would abort the campaign; the driver must
+  // instead treat the worker as lost and re-run the stripe.
+  const std::string path = ::testing::TempDir() + "foreign_cav_worker.py";
+  {
+    std::ofstream script(path);
+    script << R"(#!/usr/bin/env python3
+import os, struct, sys
+rfd, wfd = int(sys.argv[1]), int(sys.argv[2])
+MAGIC, RUN_STRIPE, HELLO, STRIPE_RESULT = 0x57564143, 2, 10, 11
+
+def send(msg_type, payload):
+    os.write(wfd, struct.pack('<IIQ', MAGIC, msg_type, len(payload)) + payload)
+
+def read_exact(n):
+    data = b''
+    while len(data) < n:
+        chunk = os.read(rfd, n - len(data))
+        if not chunk:
+            sys.exit(0)
+        data += chunk
+    return data
+
+send(HELLO, struct.pack('<IQ', 1, os.getpid()))
+while True:
+    _, msg_type, length = struct.unpack('<IIQ', read_exact(16))
+    read_exact(length)
+    if msg_type == RUN_STRIPE:
+        # One cell at index 1: no stripe of this campaign is exactly that.
+        send(STRIPE_RESULT, struct.pack('<QQQQdd', 1, 1, 0, 0, 0.0, 0.0))
+)";
+  }
+  std::filesystem::permissions(path, std::filesystem::perms::owner_all);
+
+  const CampaignSpec spec = small_spec();
+  CampaignDriverOptions options;
+  options.num_workers = 2;
+  options.stripes_per_worker = 4;
+  options.worker_path = path;
+  const core::CampaignResult result = run_sharded_campaign(spec, options);
+  expect_rates_identical(result.rates, in_process_rates(spec));
+  EXPECT_TRUE(result.degraded);
+  EXPECT_GE(result.requeues, 1u);
+  std::filesystem::remove(path);
 }
 
 TEST(DistCampaignTest, MixedCasSpecsAcrossTheWire) {

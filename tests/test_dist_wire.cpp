@@ -97,13 +97,23 @@ TEST(DistWireTest, BadMagicThrows) {
 }
 
 TEST(DistWireTest, OversizedLengthThrowsWithoutAllocating) {
+  // 16 EB, and the first length past the limit: both must be rejected,
+  // not new[]'d.
+  for (const std::uint64_t len : {~std::uint64_t{0}, kMaxPayloadBytes + 1}) {
+    Pipe pipe;
+    std::uint32_t head[2] = {kFrameMagic, static_cast<std::uint32_t>(MsgType::kRunStripe)};
+    ASSERT_EQ(::write(pipe.w(), head, sizeof head), static_cast<ssize_t>(sizeof head));
+    ASSERT_EQ(::write(pipe.w(), &len, sizeof len), static_cast<ssize_t>(sizeof len));
+    pipe.close_write();
+    EXPECT_THROW(read_frame(pipe.r()), ProtocolError) << "length " << len;
+  }
+  // The writer refuses an over-limit payload before putting a byte on
+  // the wire.
   Pipe pipe;
-  std::uint32_t head[2] = {kFrameMagic, static_cast<std::uint32_t>(MsgType::kRunStripe)};
-  std::uint64_t len = ~std::uint64_t{0};  // 16 EB: must be rejected, not new[]'d
-  ASSERT_EQ(::write(pipe.w(), head, sizeof head), static_cast<ssize_t>(sizeof head));
-  ASSERT_EQ(::write(pipe.w(), &len, sizeof len), static_cast<ssize_t>(sizeof len));
+  const std::vector<std::byte> oversized(kMaxPayloadBytes + 1);
+  EXPECT_THROW(write_frame(pipe.w(), MsgType::kStripeResult, oversized), ProtocolError);
   pipe.close_write();
-  EXPECT_THROW(read_frame(pipe.r()), ProtocolError);
+  EXPECT_FALSE(read_frame(pipe.r()).has_value()) << "nothing was written";
 }
 
 // Byte-level fuzz: truncate a valid frame at every prefix length.  Every

@@ -2,8 +2,8 @@
 // load / mmap paths built on it: save -> load round-trips are bit
 // identical for both tables, mapped views serve the same bytes zero-copy,
 // corruption is caught by the payload checksum, TableIoError carries a
-// machine-checkable (op, reason, path), and the deprecated legacy format
-// still loads for one release.
+// machine-checkable (op, reason, path), and the retired pre-image formats
+// are rejected.
 #include "serving/table_image.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "acasx/joint_solver.h"
 #include "acasx/logic_table.h"
@@ -189,47 +190,39 @@ TEST_F(ServingImageTest, QuantizedImagesLoadViaDequantization) {
   }
 }
 
-TEST_F(ServingImageTest, LegacyFormatLoadsForOneRelease) {
-  // Hand-write the deprecated "ACX1" stream (axis triples, tau_max,
-  // dynamics, costs, count, payload) and check the deprecation shim reads
-  // it bit for bit.
-  const std::string path = temp_path("serving_pair_legacy.bin");
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::uint32_t magic = 0x41435831;  // "ACX1"
-    out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
-    const auto& c = pair_->config();
-    const auto write_axis = [&out](const UniformAxis& axis) {
-      const double lo = axis.lo();
-      const double hi = axis.hi();
-      const std::uint64_t count = axis.count();
-      out.write(reinterpret_cast<const char*>(&lo), sizeof lo);
-      out.write(reinterpret_cast<const char*>(&hi), sizeof hi);
-      out.write(reinterpret_cast<const char*>(&count), sizeof count);
-    };
-    write_axis(c.space.h_ft);
-    write_axis(c.space.dh_own_fps);
-    write_axis(c.space.dh_int_fps);
-    const std::uint64_t tau_max = c.space.tau_max;
-    out.write(reinterpret_cast<const char*>(&tau_max), sizeof tau_max);
-    const double dyn[4] = {c.dynamics.dt_s, c.dynamics.accel_initial_fps2,
-                           c.dynamics.accel_strength_fps2, c.dynamics.accel_noise_sigma_fps2};
-    out.write(reinterpret_cast<const char*>(dyn), sizeof dyn);
-    const double costs[8] = {c.costs.nmac_cost,          c.costs.nmac_h_ft,
-                             c.costs.maneuver_cost,      c.costs.strengthened_maneuver_cost,
-                             c.costs.level_reward,       c.costs.strengthen_cost,
-                             c.costs.reversal_cost,      c.costs.termination_cost};
-    out.write(reinterpret_cast<const char*>(costs), sizeof costs);
-    const std::uint64_t n = pair_->raw().size();
-    out.write(reinterpret_cast<const char*>(&n), sizeof n);
-    out.write(reinterpret_cast<const char*>(pair_->raw().data()),
-              static_cast<std::streamsize>(n * sizeof(float)));
+/// Write a file in one of the retired pre-image formats: its magic, then
+/// the raw value payload — large enough to clear every size check, so the
+/// loaders must reject it on the magic alone.
+void write_retired_format(const std::string& path, std::uint32_t magic,
+                          const std::vector<float>& values) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(&magic), sizeof magic);
+  out.write(reinterpret_cast<const char*>(values.data()),
+            static_cast<std::streamsize>(values.size() * sizeof(float)));
+}
+
+template <typename Load>
+void expect_bad_magic(const Load& load, const std::string& path) {
+  try {
+    load(path);
+    FAIL() << "a retired format must not load";
+  } catch (const TableIoError& e) {
+    EXPECT_EQ(e.reason(), "bad magic");
+    EXPECT_EQ(e.path(), path);
   }
-  const LogicTable loaded = LogicTable::load(path);
-  ASSERT_EQ(loaded.raw().size(), pair_->raw().size());
-  EXPECT_EQ(loaded.raw(), pair_->raw());
-  EXPECT_EQ(loaded.config().space.tau_max, pair_->config().space.tau_max);
-  std::remove(path.c_str());
+}
+
+TEST_F(ServingImageTest, RetiredFormatsAreRejected) {
+  const std::string pair_path = temp_path("serving_pair_acx1.bin");
+  write_retired_format(pair_path, 0x41435831, pair_->raw());  // "ACX1"
+  expect_bad_magic([](const std::string& p) { return LogicTable::load(p); }, pair_path);
+  expect_bad_magic([](const std::string& p) { return LogicTable::open_mapped(p); }, pair_path);
+  std::remove(pair_path.c_str());
+
+  const std::string joint_path = temp_path("serving_joint_jtx1.bin");
+  write_retired_format(joint_path, 0x4a545831, joint_->raw());  // "JTX1"
+  expect_bad_magic([](const std::string& p) { return JointLogicTable::load(p); }, joint_path);
+  std::remove(joint_path.c_str());
 }
 
 TEST_F(ServingImageTest, SlabDirectoryIsTyped) {

@@ -1,10 +1,10 @@
-// Contract-check and logging utilities.
+// Contract-check utilities.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "util/expect.h"
-#include "util/log.h"
 
 namespace cav {
 namespace {
@@ -36,58 +36,6 @@ TEST(Expect, FailingInvariantThrowsWithMessage) {
 
 TEST(Expect, ContractViolationIsLogicError) {
   EXPECT_THROW(expect(false, "x"), std::logic_error);
-}
-
-class LogLevelGuard {
- public:
-  LogLevelGuard() : saved_(log_level()) {}
-  ~LogLevelGuard() { set_log_level(saved_); }
-
- private:
-  LogLevel saved_;
-};
-
-TEST(Log, ThresholdFiltersMessages) {
-  const LogLevelGuard guard;
-  // Capture stderr through a streambuf swap.
-  std::ostringstream captured;
-  std::streambuf* old = std::cerr.rdbuf(captured.rdbuf());
-
-  set_log_level(LogLevel::kWarn);
-  log_debug("hidden debug");
-  log_info("hidden info");
-  log_warn("visible warn");
-  log_error("visible error");
-
-  std::cerr.rdbuf(old);
-  const std::string out = captured.str();
-  EXPECT_EQ(out.find("hidden"), std::string::npos);
-  EXPECT_NE(out.find("visible warn"), std::string::npos);
-  EXPECT_NE(out.find("visible error"), std::string::npos);
-  EXPECT_NE(out.find("[WARN]"), std::string::npos);
-  EXPECT_NE(out.find("[ERROR]"), std::string::npos);
-}
-
-TEST(Log, OffSilencesEverything) {
-  const LogLevelGuard guard;
-  std::ostringstream captured;
-  std::streambuf* old = std::cerr.rdbuf(captured.rdbuf());
-  set_log_level(LogLevel::kOff);
-  log_error("nothing");
-  std::cerr.rdbuf(old);
-  EXPECT_TRUE(captured.str().empty());
-}
-
-TEST(Log, DebugLevelShowsAll) {
-  const LogLevelGuard guard;
-  std::ostringstream captured;
-  std::streambuf* old = std::cerr.rdbuf(captured.rdbuf());
-  set_log_level(LogLevel::kDebug);
-  log_debug("d");
-  log_info("i");
-  std::cerr.rdbuf(old);
-  EXPECT_NE(captured.str().find("[DEBUG]"), std::string::npos);
-  EXPECT_NE(captured.str().find("[INFO]"), std::string::npos);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// cav_worker: the fleet process behind dist/campaign_driver.h and
-// dist/solve_driver.h.  Never run by hand — a driver fork+execs it with
-// two inherited pipe fds as argv and speaks dist/wire.h over them:
+// cav_worker: the fleet process behind dist/campaign_driver.h.  Never run
+// by hand — the driver fork+execs it with two inherited pipe fds as argv
+// and speaks dist/wire.h over them:
 //
 //   cav_worker <read_fd> <write_fd>
 //
@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   if (argc != 3) {
     std::fprintf(stderr,
-                 "cav_worker is an internal helper spawned by the dist drivers.\n"
+                 "cav_worker is an internal helper spawned by the campaign driver.\n"
                  "usage: cav_worker <read_fd> <write_fd>\n");
     return 2;
   }
