@@ -1,8 +1,8 @@
 // E16 — Airspace scaling: wall-clock of one city-corridor simulation as
 // the fleet size K grows, event-driven adaptive engine (spatial index +
 // adaptive timers, the defaults with a city-sized interaction radius) vs
-// the dense legacy configuration (all-pairs index, fixed-dt timers,
-// AirspaceConfig::legacy()).  The dense engine is O(K^2) per decision
+// the dense legacy configuration (infinite interaction radius: every pair
+// near, every agent at the physics dt; AirspaceConfig::legacy()).  The dense engine is O(K^2) per decision
 // cycle; the spatial index should hold the adaptive curve near O(near
 // pairs), i.e. sub-quadratic in K on corridor traffic whose interactions
 // are local.  The printed scaling exponent is the headline number
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
   const std::string csv_path = bench::output_dir() + "/airspace_scale.csv";
   CsvWriter csv(csv_path);
-  csv.header({"aircraft", "adaptive_s", "dense_s", "peak_active_pairs", "all_pairs",
+  csv.header({"aircraft", "adaptive_s", "dense_s", "peak_active_pairs", "dense_pairs",
               "fine_agent_steps", "coarse_agent_steps", "monitored_pairs"});
 
   std::vector<double> adaptive_wall;
@@ -72,13 +72,13 @@ int main(int argc, char** argv) {
       bench::record_metric("e16.k" + std::to_string(k) + ".dense_s", dense_s);
     }
 
-    const std::size_t all_pairs = k * (k - 1) / 2;
+    const std::size_t dense_pairs = k * (k - 1) / 2;
     std::printf("%-6zu %-12.3f %-12s %-12zu %-12zu %-12zu %-12zu\n", k,
                 adaptive.wall_time_s, have_dense ? std::to_string(dense_s).c_str() : "-",
-                adaptive.stats.peak_active_pairs, all_pairs, adaptive.stats.fine_agent_steps,
+                adaptive.stats.peak_active_pairs, dense_pairs, adaptive.stats.fine_agent_steps,
                 adaptive.stats.coarse_agent_steps);
     csv.cell(k).cell(adaptive.wall_time_s).cell(dense_s).cell(adaptive.stats.peak_active_pairs)
-        .cell(all_pairs).cell(adaptive.stats.fine_agent_steps)
+        .cell(dense_pairs).cell(adaptive.stats.fine_agent_steps)
         .cell(adaptive.stats.coarse_agent_steps).cell(adaptive.stats.monitored_pairs);
     csv.end_row();
 

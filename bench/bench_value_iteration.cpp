@@ -4,12 +4,11 @@
 // induction solve across discretizations, serial and parallel, plus the
 // toy-model value iteration.
 //
-// The compiled-kernel trajectory: Virtual (seed: transitions re-expanded
-// through virtual dispatch every sweep) -> Compiled (flat CSR arrays) ->
-// CompiledParallel (chunked Jacobi sweeps on the thread pool); and for the
-// ACAS table, Reference (scatter stencils recomputed every tau layer) ->
-// Stencil (precompiled stencils) -> StencilParallel.  All variants emit
-// identical logic, so the deltas are pure solver cost.
+// Variants: Compiled (flat CSR arrays, with and without the compile),
+// prioritized sweeping and float32 value layers for the toy model; serial
+// and pooled precompiled-stencil solves for the ACAS table.  All emit the
+// logic of the reference kernels in tests/oracles/, which benches do not
+// link, so the rows time only the production paths.
 #include <benchmark/benchmark.h>
 
 #include "acasx/offline_solver.h"
@@ -25,17 +24,6 @@ namespace {
 using namespace cav;
 
 // ---------------------------------------------------------------- toy 2-D
-
-void BM_SolveToy2dVirtual(benchmark::State& state) {
-  const toy2d::Toy2dMdp model{toy2d::Config{}};
-  mdp::ValueIterationConfig config;
-  config.use_compiled = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mdp::solve_value_iteration(model, config));
-  }
-  state.SetLabel("490-state SIII model, seed path: virtual dispatch per backup");
-}
-BENCHMARK(BM_SolveToy2dVirtual)->Unit(benchmark::kMillisecond);
 
 void BM_SolveToy2dCompiled(benchmark::State& state) {
   const toy2d::Toy2dMdp model{toy2d::Config{}};
@@ -135,26 +123,6 @@ void BM_SolveCoarseTable(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveCoarseTable)->Unit(benchmark::kMillisecond);
 
-void BM_SolveCoarseTableReference(benchmark::State& state) {
-  const acasx::AcasXuConfig config = acasx::AcasXuConfig::coarse();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(acasx::solve_logic_table(config, nullptr, nullptr,
-                                                      acasx::SolverMode::kReference));
-  }
-  state.SetLabel("coarse grid, seed path: scatter recomputed every layer");
-}
-BENCHMARK(BM_SolveCoarseTableReference)->Unit(benchmark::kMillisecond);
-
-void BM_SolveStandardTableReferenceSerial(benchmark::State& state) {
-  const acasx::AcasXuConfig config = bench::standard_or_smoke_config();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(acasx::solve_logic_table(config, nullptr, nullptr,
-                                                      acasx::SolverMode::kReference));
-  }
-  state.SetLabel("standard grid (1.9M Q rows x 41 tau layers), seed serial == the paper's laptop setting");
-}
-BENCHMARK(BM_SolveStandardTableReferenceSerial)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void BM_SolveStandardTableSerial(benchmark::State& state) {
   const acasx::AcasXuConfig config = bench::standard_or_smoke_config();
   acasx::SolveStats stats;
@@ -198,9 +166,8 @@ int main(int argc, char** argv) {
   std::printf("E6: offline logic generation cost.  Paper fn.2 claim: full value\n"
               "iteration < 5 minutes on a laptop; our backward induction over tau\n"
               "should be orders faster in optimized C++ (shape: laptop-feasible).\n"
-              "Variants: *Virtual/*Reference = seed kernels re-expanding\n"
-              "transitions every sweep; *Compiled/*Stencil = precompiled sparse\n"
-              "kernels (this revision); *Parallel adds chunked pool sweeps.\n\n");
+              "Variants: *Compiled/*Table = precompiled sparse kernels;\n"
+              "*Parallel adds chunked pool sweeps.\n\n");
   if (cav::bench::smoke()) {
     std::printf("[smoke] CAV_BENCH_SMOKE set: standard/fine grids replaced by\n"
                 "coarse; timings are for bit-rot detection only.\n\n");

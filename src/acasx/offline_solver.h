@@ -19,8 +19,9 @@
 // (noise pairs and interpolation weights folded together; acasx/
 // stencil_set.h) and reduces each layer's expected-value computation to a
 // sparse dot product over the previous layer, parallelized across grid
-// points.  SolverMode::kReference keeps the original per-layer
-// recomputation as a cross-check.
+// points.  The tests compare the result bit for bit against the original
+// per-layer recomputation, kept as an oracle in
+// tests/oracles/acasx_reference.h.
 //
 // This is the paper's "Optimization" box in Fig. 1 (MDP model -> logic
 // table); footnote 2 reports <5 min on a laptop for the real model — the
@@ -43,19 +44,12 @@ struct SolveStats {
   double stencil_build_seconds = 0.0;  ///< time spent precompiling stencils
 };
 
-enum class SolverMode {
-  kPrecompiledStencils,  ///< default: stencils built once, sparse-dot sweeps
-  kReference,            ///< original path: scatter recomputed every layer
-};
-
 /// Solve the MDP defined by `config`; parallelizes the stencil build and
-/// each tau layer over `pool` when provided.  Both modes, with or without
-/// a pool, produce bit-identical tables: the stencils preserve the
-/// reference kernel's two-level accumulation order, and each grid point's
-/// writes are independent of sweep scheduling.
+/// each tau layer over `pool` when provided.  The table is bit-identical
+/// with or without a pool: each grid point's writes are independent of
+/// sweep scheduling.
 LogicTable solve_logic_table(const AcasXuConfig& config, ThreadPool* pool = nullptr,
-                             SolveStats* stats = nullptr,
-                             SolverMode mode = SolverMode::kPrecompiledStencils);
+                             SolveStats* stats = nullptr);
 
 /// The compiled transition structure of the ACAS XU MDP: the successor
 /// stencils depend only on the state-space discretization and the dynamics
@@ -66,8 +60,7 @@ LogicTable solve_logic_table(const AcasXuConfig& config, ThreadPool* pool = null
 /// mdp::CompiledMdp::refresh_costs.
 ///
 /// Every solve() is bit-identical to solve_logic_table() of the matching
-/// config in kPrecompiledStencils mode (same kernels, same accumulation
-/// order).
+/// config (same kernels, same accumulation order).
 class CompiledAcasModel {
  public:
   /// Build the stencils for config.space + config.dynamics; `pool`

@@ -60,7 +60,9 @@ enum class MsgType : std::uint32_t {
   kWorkerError = 14,   ///< human-readable failure; worker exits after
 };
 
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// Bumped whenever a payload layout changes, so a driver refuses a stale
+/// worker binary instead of mis-decoding its frames.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 struct Frame {
   MsgType type = MsgType::kShutdown;

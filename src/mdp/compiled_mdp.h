@@ -18,12 +18,12 @@
 // both cache-friendly and safely shareable across threads (the compiled
 // model is immutable after construction, except for the explicit
 // refresh_costs() revision hook below).  The solvers in value_iteration.h /
-// policy_iteration.h run on this kernel by default and keep the
-// virtual-dispatch path only as a cross-check reference.
+// policy_iteration.h all run on this kernel.
 //
 // Transition entries preserve the order in which FiniteMdp::transitions()
 // emitted them, so compiled backups accumulate in the same floating-point
-// order as the virtual path and produce bit-identical values.
+// order as a virtual-dispatch backup and produce bit-identical values (the
+// tests check this against tests/oracles/mdp_reference.h).
 //
 // Value layers are templated on the scalar type: the default solvers sweep
 // double layers; solve_value_iteration_f32 sweeps float layers for
@@ -97,10 +97,10 @@ class CompiledMdp {
     return pred_state_;
   }
 
-  /// Expected cost of (s, a): cost + discount * sum_s' p * V(s').  The
-  /// compiled analogue of mdp::backup (no virtual calls, no scratch).
-  /// Value layers may be float or double; accumulation is always double,
-  /// so the double instantiation is bit-identical to the virtual path.
+  /// Expected cost of (s, a): cost + discount * sum_s' p * V(s'), with no
+  /// virtual calls and no scratch.  Value layers may be float or double;
+  /// accumulation is always double, so the double instantiation is
+  /// bit-identical to a virtual-dispatch backup over the same model.
   template <typename V>
   double backup(State s, Action a, const std::vector<V>& values, double discount) const {
     const std::size_t r = row(s, a);

@@ -22,13 +22,4 @@ Policy greedy_policy(const QTable& table, std::size_t num_states) {
   return policy;
 }
 
-double backup(const FiniteMdp& mdp, State s, Action a, const Values& values, double discount,
-              std::vector<Transition>& scratch) {
-  scratch.clear();
-  mdp.transitions(s, a, scratch);
-  double expected = 0.0;
-  for (const Transition& t : scratch) expected += t.prob * values[t.next];
-  return mdp.cost(s, a) + discount * expected;
-}
-
 }  // namespace cav::mdp

@@ -75,8 +75,4 @@ struct QTable {
 /// bit-for-bit across runs and thread counts.
 Policy greedy_policy(const QTable& table, std::size_t num_states);
 
-/// Expected cost of (s, a): cost(s,a) + discount * sum_s' p * V(s').
-double backup(const FiniteMdp& mdp, State s, Action a, const Values& values, double discount,
-              std::vector<Transition>& scratch);
-
 }  // namespace cav::mdp

@@ -10,73 +10,6 @@
 namespace cav::mdp {
 namespace {
 
-void evaluate_policy_virtual(const FiniteMdp& mdp, const Policy& policy, Values& values,
-                             const PolicyIterationConfig& config,
-                             std::vector<Transition>& scratch) {
-  const std::size_t ns = mdp.num_states();
-  for (std::size_t sweep = 0; sweep < config.max_eval_sweeps; ++sweep) {
-    double residual = 0.0;
-    for (std::size_t s = 0; s < ns; ++s) {
-      const auto state = static_cast<State>(s);
-      if (mdp.is_terminal(state)) continue;
-      const double v = backup(mdp, state, policy[s], values, config.discount, scratch);
-      residual = std::max(residual, std::abs(v - values[s]));
-      values[s] = v;
-    }
-    if (residual <= config.eval_tolerance) break;
-  }
-}
-
-/// Reference implementation kept verbatim from before the compiled-kernel
-/// refactor (serial, virtual dispatch); the compiled path is checked
-/// against it in tests.
-PolicyIterationResult solve_virtual(const FiniteMdp& mdp, const PolicyIterationConfig& config) {
-  const std::size_t ns = mdp.num_states();
-  const std::size_t na = mdp.num_actions();
-
-  PolicyIterationResult result;
-  result.policy.assign(ns, 0);
-  result.values.assign(ns, 0.0);
-  for (std::size_t s = 0; s < ns; ++s) {
-    if (mdp.is_terminal(static_cast<State>(s))) {
-      result.values[s] = mdp.terminal_cost(static_cast<State>(s));
-    }
-  }
-
-  std::vector<Transition> scratch;
-  scratch.reserve(64);
-
-  for (std::size_t round = 0; round < config.max_policy_updates; ++round) {
-    evaluate_policy_virtual(mdp, result.policy, result.values, config, scratch);
-
-    bool stable = true;
-    for (std::size_t s = 0; s < ns; ++s) {
-      const auto state = static_cast<State>(s);
-      if (mdp.is_terminal(state)) continue;
-      double best = std::numeric_limits<double>::infinity();
-      Action best_a = result.policy[s];
-      for (std::size_t a = 0; a < na; ++a) {
-        const double q =
-            backup(mdp, state, static_cast<Action>(a), result.values, config.discount, scratch);
-        if (q < best - 1e-12) {
-          best = q;
-          best_a = static_cast<Action>(a);
-        }
-      }
-      if (best_a != result.policy[s]) {
-        result.policy[s] = best_a;
-        stable = false;
-      }
-    }
-    result.policy_updates = round + 1;
-    if (stable) {
-      result.converged = true;
-      break;
-    }
-  }
-  return result;
-}
-
 void evaluate_policy_compiled(const CompiledMdp& mdp, const Policy& policy, Values& values,
                               const PolicyIterationConfig& config) {
   const std::size_t ns = mdp.num_states();
@@ -156,11 +89,6 @@ PolicyIterationResult solve_policy_iteration(const CompiledMdp& mdp,
 
 PolicyIterationResult solve_policy_iteration(const FiniteMdp& mdp,
                                              const PolicyIterationConfig& config) {
-  if (!config.use_compiled) {
-    expect(mdp.num_states() > 0, "MDP has at least one state");
-    expect(mdp.num_actions() > 0, "MDP has at least one action");
-    return solve_virtual(mdp, config);
-  }
   // CompiledMdp and the compiled overload validate the model.
   return solve_policy_iteration(CompiledMdp(mdp), config);
 }

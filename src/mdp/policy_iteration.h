@@ -8,7 +8,8 @@
 // arrays (CompiledMdp) and sweeps those.  Policy evaluation updates in
 // place (Gauss-Seidel style) and stays serial; the improvement step only
 // reads the value vector and parallelizes across states when a ThreadPool
-// is supplied.
+// is supplied.  Results are bit-identical to the serial virtual-dispatch
+// oracle in tests/oracles/mdp_reference.h.
 #pragma once
 
 #include <cstddef>
@@ -24,11 +25,7 @@ struct PolicyIterationConfig {
   double eval_tolerance = 1e-9;       ///< policy-evaluation residual
   std::size_t max_eval_sweeps = 10000;
   std::size_t max_policy_updates = 1000;
-  bool use_compiled = true;           ///< false = legacy virtual-dispatch sweeps
-  /// Parallel improvement step when non-null.  Compiled path only: the
-  /// legacy virtual path (use_compiled = false) is a serial reference and
-  /// ignores the pool.
-  ThreadPool* pool = nullptr;
+  ThreadPool* pool = nullptr;         ///< parallel improvement step when non-null
 };
 
 struct PolicyIterationResult {
@@ -41,7 +38,7 @@ struct PolicyIterationResult {
 PolicyIterationResult solve_policy_iteration(const FiniteMdp& mdp,
                                              const PolicyIterationConfig& config = {});
 
-/// Solve an already-compiled model (`use_compiled` is ignored).
+/// Solve an already-compiled model.
 PolicyIterationResult solve_policy_iteration(const CompiledMdp& mdp,
                                              const PolicyIterationConfig& config = {});
 

@@ -4,13 +4,12 @@
 // which converge in fewer iterations on layered problems like the paper's
 // 2-D example where the intruder's x coordinate only decreases.
 //
-// By default the model is compiled once into flat CSR arrays (CompiledMdp)
-// and all sweeps run on the compiled kernel; Jacobi sweeps additionally
+// The model is compiled once into flat CSR arrays (CompiledMdp) and all
+// sweeps run on the compiled kernel; Jacobi sweeps additionally
 // parallelize across states when a ThreadPool is supplied (Gauss-Seidel is
 // inherently sequential and stays serial, but still uses the kernel).
-// Both paths produce bit-identical results — the virtual-dispatch path is
-// kept as a cross-check reference and for one-shot solves of models too
-// large to flatten.
+// The results are bit-identical to the serial virtual-dispatch sweeps the
+// tests keep as their oracle (tests/oracles/mdp_reference.h).
 #pragma once
 
 #include <cstddef>
@@ -26,10 +25,8 @@ struct ValueIterationConfig {
   double tolerance = 1e-9;        ///< max-norm residual for convergence
   std::size_t max_iterations = 10000;
   bool gauss_seidel = false;      ///< update values in place during a sweep
-  bool use_compiled = true;       ///< false = legacy virtual-dispatch sweeps
-  /// Parallel Jacobi sweeps when non-null.  Compiled path only: the legacy
-  /// virtual path (use_compiled = false) is a serial reference and ignores
-  /// the pool.  Gauss-Seidel also stays serial by construction.
+  /// Parallel Jacobi sweeps when non-null.  Gauss-Seidel stays serial by
+  /// construction.
   ThreadPool* pool = nullptr;
 };
 
@@ -42,25 +39,22 @@ struct ValueIterationResult {
   bool converged = false;
 };
 
-/// Solve to convergence.  Throws ContractViolation on an empty model.
+/// Compile `mdp` and solve to convergence.  Throws ContractViolation on an
+/// empty model.
 ValueIterationResult solve_value_iteration(const FiniteMdp& mdp,
                                            const ValueIterationConfig& config = {});
 
 /// Solve an already-compiled model (lets callers amortize compilation
-/// across repeated solves, e.g. model-revision sweeps).  `use_compiled`
-/// is ignored — this entry point is always compiled.
+/// across repeated solves, e.g. model-revision sweeps).
 ValueIterationResult solve_value_iteration(const CompiledMdp& mdp,
                                            const ValueIterationConfig& config = {});
 
 /// Finite-horizon backward induction: returns values for each
 /// stage t = 0..horizon, where values[t] is the optimal expected cost with
 /// t decision steps remaining.  values[0][s] = terminal_cost for terminal
-/// states and 0 otherwise.  Parallelizes each stage over `pool` when given
-/// (compiled path only); use_compiled = false runs the legacy serial
-/// virtual-dispatch reference, as in the other solvers.
+/// states and 0 otherwise.  Parallelizes each stage over `pool` when given.
 std::vector<Values> solve_finite_horizon(const FiniteMdp& mdp, std::size_t horizon,
-                                         double discount = 1.0, ThreadPool* pool = nullptr,
-                                         bool use_compiled = true);
+                                         double discount = 1.0, ThreadPool* pool = nullptr);
 
 /// Finite-horizon backward induction on a pre-compiled model.
 std::vector<Values> solve_finite_horizon(const CompiledMdp& mdp, std::size_t horizon,

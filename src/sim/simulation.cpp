@@ -55,6 +55,15 @@ Simulation::Simulation(const SimConfig& config, std::vector<AgentSetup> agents,
   expect(config.dt_dynamics_s > 0.0, "dt_dynamics_s > 0");
   expect(config.decision_period_s >= config.dt_dynamics_s,
          "decision period is at least one physics step");
+  // run() decides every lround(period / dt) physics steps, so any other
+  // period would silently become that many steps (1.0 s at dt = 0.4 s
+  // would be 1.2 s) while scripted maneuvers and fault windows still
+  // assume the configured period.  Relative tolerance: 1.0 / 0.1 is
+  // 10.000000000000002 in doubles.
+  const double steps_per_decision = config.decision_period_s / config.dt_dynamics_s;
+  expect(std::abs(steps_per_decision - std::round(steps_per_decision)) <=
+             1e-9 * steps_per_decision,
+         "decision period is a whole number of physics steps");
   expect(config.max_time_s > 0.0, "max_time_s > 0");
   expect(config.record_every_n >= 1, "record_every_n >= 1");
   expect(config.airspace.parallel.num_lps >= 1, "num_lps >= 1");
@@ -313,30 +322,17 @@ void Simulation::decide_all(double t_s) {
 }
 
 void Simulation::record_sample(double t_s, SimResult& result) const {
-  const AgentRuntime& a = runtimes_[0];
-  const AgentRuntime& b = runtimes_[1];
   TrajectorySample s;
   s.t_s = t_s;
-  s.own_position_m = a.agent.state().position_m;
-  s.intruder_position_m = b.agent.state().position_m;
-  s.own_vs_mps = a.agent.state().vertical_speed_mps;
-  s.intruder_vs_mps = b.agent.state().vertical_speed_mps;
-  s.own_advisory = a.current_label;
-  s.intruder_advisory = b.current_label;
-  s.separation_m = distance(a.agent.state().position_m, b.agent.state().position_m);
-  result.trajectory.push_back(std::move(s));
-
-  MultiTrajectorySample m;
-  m.t_s = t_s;
-  m.position_m.reserve(runtimes_.size());
-  m.vs_mps.reserve(runtimes_.size());
-  m.advisory.reserve(runtimes_.size());
+  s.position_m.reserve(runtimes_.size());
+  s.vs_mps.reserve(runtimes_.size());
+  s.advisory.reserve(runtimes_.size());
   for (const AgentRuntime& r : runtimes_) {
-    m.position_m.push_back(r.agent.state().position_m);
-    m.vs_mps.push_back(r.agent.state().vertical_speed_mps);
-    m.advisory.push_back(r.current_label);
+    s.position_m.push_back(r.agent.state().position_m);
+    s.vs_mps.push_back(r.agent.state().vertical_speed_mps);
+    s.advisory.push_back(r.current_label);
   }
-  result.multi_trajectory.push_back(std::move(m));
+  result.trajectory.push_back(std::move(s));
 }
 
 void Simulation::refresh_positions(bool active_only) {
@@ -393,8 +389,7 @@ void Simulation::begin_decision_cycle(double t_s, SimStats* stats) {
   // 5. Recompute the active set: an agent densifies to the physics dt
   //    while anyone is inside its interaction radius.
   for (std::size_t i = 0; i < runtimes_.size(); ++i) {
-    runtimes_[i].active =
-        !config_.airspace.adaptive_timers || !airspace_.neighbors_of(i).empty();
+    runtimes_[i].active = !airspace_.neighbors_of(i).empty();
   }
 }
 
@@ -511,8 +506,6 @@ SimResult Simulation::run() {
   }
   result.agents.reserve(runtimes_.size());
   for (const AgentRuntime& r : runtimes_) result.agents.push_back(r.report);
-  result.own = result.agents[0];
-  result.intruder = result.agents[1];
   result.elapsed_s = t;
   result.stats.monitored_pairs = monitors_.num_pairs();
   result.wall_time_s =

@@ -54,7 +54,9 @@ namespace cav::sim {
 
 struct SimConfig {
   double dt_dynamics_s = 0.1;     ///< physics integration step
-  double decision_period_s = 1.0; ///< surveillance/decision cycle
+  /// Surveillance/decision cycle; must be a whole number of physics steps
+  /// (the constructor throws ContractViolation otherwise).
+  double decision_period_s = 1.0;
   double max_time_s = 120.0;      ///< hard stop
   DisturbanceConfig disturbance;
   AdsbConfig adsb;                ///< white noise + i.i.d. dropout (all links)
@@ -76,9 +78,10 @@ struct SimConfig {
   ThreatPolicy threat_policy = ThreatPolicy::kNearest;
   ThreatGateConfig threat_gate;   ///< only read under kCostFused/kJointTable
   /// Spatial index + adaptive-timer configuration (airspace.h).  The
-  /// default (grid, 25 km radius, adaptive) reproduces every legacy
-  /// scenario exactly because their geometry never spans the radius;
-  /// `AirspaceConfig::legacy()` forces the dense fixed-dt engine.
+  /// default (grid, 25 km radius) reproduces every legacy scenario exactly
+  /// because their geometry never spans the radius;
+  /// `AirspaceConfig::legacy()` (infinite radius) is the dense fixed-dt
+  /// engine.
   AirspaceConfig airspace;
   bool record_trajectory = false; ///< keep per-decision-cycle samples
   /// Record every Nth decision-cycle sample (1 = every cycle, the
@@ -128,8 +131,6 @@ struct SimResult {
   bool nmac = false;          ///< any pair penetrated the NMAC cylinder
   double nmac_time_s = -1.0;  ///< earliest penetration across pairs
   bool hard_collision = false;
-  AgentReport own;            ///< agents[0], mirrored for the pairwise API
-  AgentReport intruder;       ///< agents[1], mirrored for the pairwise API
   std::vector<AgentReport> agents;  ///< one per aircraft, in setup order
   /// Monitored pairs, sorted by (a, b).  Under the dense/legacy index this
   /// is every pair; under the grid index only pairs that ever came within
@@ -139,9 +140,12 @@ struct SimResult {
   double wall_time_s = 0.0;  ///< host wall clock consumed by run(); not
                              ///< part of the determinism contract
   SimStats stats;
-  Trajectory trajectory;            ///< own vs first intruder (legacy view);
-                                    ///< empty unless record_trajectory
-  MultiTrajectory multi_trajectory; ///< all aircraft; same sampling
+  Trajectory trajectory;  ///< every aircraft; empty unless record_trajectory
+
+  /// The pairwise view: aircraft 0 (own-ship) and aircraft 1 (first
+  /// intruder).
+  const AgentReport& own() const { return agents[0]; }
+  const AgentReport& intruder() const { return agents[1]; }
 
   /// The fitness distance d_k of the paper (§VII): 0 on a mid-air
   /// collision, otherwise the minimum 3-D separation over the run.
@@ -209,7 +213,7 @@ struct AgentRuntime {
   /// Adaptive-timer state: an active agent (some aircraft inside its
   /// interaction radius) integrates at the physics dt; an inactive one
   /// takes a single catch-up step per decision period.  Always active
-  /// when adaptive timers are off.
+  /// under an infinite radius (K >= 2 gives everyone neighbors).
   bool active = true;
   double last_step_t_s = 0.0;  ///< simulation time this agent is integrated to
 };

@@ -1,6 +1,7 @@
 #include "sim/trajectory.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -38,16 +39,22 @@ void plot_point(std::vector<std::string>& canvas, const Bounds& b, double x, dou
   canvas[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)] = glyph;
 }
 
+/// Glyph-plotted aircraft: 0 as 'o'/'O', 1 as 'i'/'I' (upper case while an
+/// advisory is active).
+constexpr std::array<char, 2> kFreeGlyph{'o', 'i'};
+constexpr std::array<char, 2> kAdvisoryGlyph{'O', 'I'};
+
 std::string render(const Trajectory& traj, int width, int height, bool top_view) {
   if (traj.empty()) return "(empty trajectory)\n";
   Bounds b;
   for (const auto& s : traj) {
-    if (top_view) {
-      b.include(s.own_position_m.x, s.own_position_m.y);
-      b.include(s.intruder_position_m.x, s.intruder_position_m.y);
-    } else {
-      b.include(s.t_s, s.own_position_m.z);
-      b.include(s.t_s, s.intruder_position_m.z);
+    for (std::size_t i = 0; i < kFreeGlyph.size(); ++i) {
+      const Vec3& p = s.position_m[i];
+      if (top_view) {
+        b.include(p.x, p.y);
+      } else {
+        b.include(s.t_s, p.z);
+      }
     }
   }
   b.pad();
@@ -55,14 +62,14 @@ std::string render(const Trajectory& traj, int width, int height, bool top_view)
   std::vector<std::string> canvas(static_cast<std::size_t>(height),
                                   std::string(static_cast<std::size_t>(width), ' '));
   for (const auto& s : traj) {
-    const char own = (s.own_advisory != "COC") ? 'O' : 'o';
-    const char intr = (s.intruder_advisory != "COC") ? 'I' : 'i';
-    if (top_view) {
-      plot_point(canvas, b, s.own_position_m.x, s.own_position_m.y, own);
-      plot_point(canvas, b, s.intruder_position_m.x, s.intruder_position_m.y, intr);
-    } else {
-      plot_point(canvas, b, s.t_s, s.own_position_m.z, own);
-      plot_point(canvas, b, s.t_s, s.intruder_position_m.z, intr);
+    for (std::size_t i = 0; i < kFreeGlyph.size(); ++i) {
+      const Vec3& p = s.position_m[i];
+      const char glyph = (s.advisory[i] != "COC") ? kAdvisoryGlyph[i] : kFreeGlyph[i];
+      if (top_view) {
+        plot_point(canvas, b, p.x, p.y, glyph);
+      } else {
+        plot_point(canvas, b, s.t_s, p.z, glyph);
+      }
     }
   }
 
@@ -80,27 +87,6 @@ std::string render(const Trajectory& traj, int width, int height, bool top_view)
 }  // namespace
 
 void write_trajectory_csv(const Trajectory& trajectory, const std::string& path) {
-  CsvWriter csv(path);
-  csv.header({"t_s", "own_x", "own_y", "own_z", "own_vs", "own_advisory", "int_x", "int_y",
-              "int_z", "int_vs", "int_advisory", "separation_m"});
-  for (const auto& s : trajectory) {
-    csv.cell(s.t_s)
-        .cell(s.own_position_m.x)
-        .cell(s.own_position_m.y)
-        .cell(s.own_position_m.z)
-        .cell(s.own_vs_mps)
-        .cell(s.own_advisory)
-        .cell(s.intruder_position_m.x)
-        .cell(s.intruder_position_m.y)
-        .cell(s.intruder_position_m.z)
-        .cell(s.intruder_vs_mps)
-        .cell(s.intruder_advisory)
-        .cell(s.separation_m);
-    csv.end_row();
-  }
-}
-
-void write_multi_trajectory_csv(const MultiTrajectory& trajectory, const std::string& path) {
   CsvWriter csv(path);
   csv.header({"t_s", "aircraft", "x", "y", "z", "vs", "advisory"});
   for (const auto& s : trajectory) {

@@ -10,42 +10,27 @@
 
 namespace cav::sim {
 
+/// One decision-cycle snapshot of a run: index 0 is the own-ship, the
+/// rest are intruders (same order as the AgentSetup vector).
 struct TrajectorySample {
-  double t_s = 0.0;
-  Vec3 own_position_m;
-  Vec3 intruder_position_m;
-  double own_vs_mps = 0.0;
-  double intruder_vs_mps = 0.0;
-  std::string own_advisory = "COC";
-  std::string intruder_advisory = "COC";
-  double separation_m = 0.0;
-};
-
-using Trajectory = std::vector<TrajectorySample>;
-
-/// One decision-cycle snapshot of an N-aircraft run: index 0 is the
-/// own-ship, the rest are intruders (same order as the AgentSetup vector).
-struct MultiTrajectorySample {
   double t_s = 0.0;
   std::vector<Vec3> position_m;
   std::vector<double> vs_mps;
   std::vector<std::string> advisory;
 };
 
-using MultiTrajectory = std::vector<MultiTrajectorySample>;
+using Trajectory = std::vector<TrajectorySample>;
 
-/// Write one sample per row (t, positions, rates, advisories, separation).
+/// Long-format CSV: one row per (sample, aircraft) with columns
+/// t_s, aircraft, x, y, z, vs, advisory.
 void write_trajectory_csv(const Trajectory& trajectory, const std::string& path);
 
-/// Long-format CSV for N-aircraft runs: one row per (sample, aircraft).
-void write_multi_trajectory_csv(const MultiTrajectory& trajectory, const std::string& path);
-
-/// Plan view (x-y) of both aircraft; own-ship 'o', intruder 'i'; samples
-/// where an advisory was active are upper-cased (cf. the red/green maneuver
-/// dots in Fig. 5).
+/// Plan view (x-y) of aircraft 0 ('o') and aircraft 1 ('i'); samples where
+/// an advisory was active are upper-cased (cf. the red/green maneuver dots
+/// in Fig. 5).  Further aircraft are not drawn.
 std::string render_top_view(const Trajectory& trajectory, int width = 72, int height = 20);
 
-/// Profile view (time vs altitude) of both aircraft, same glyph scheme.
+/// Profile view (time vs altitude) of aircraft 0 and 1, same glyph scheme.
 std::string render_side_view(const Trajectory& trajectory, int width = 72, int height = 20);
 
 }  // namespace cav::sim

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "acasx/offline_solver.h"
+#include "oracles/acasx_reference.h"
 #include "util/expect.h"
 
 namespace cav::acasx {
@@ -175,15 +179,74 @@ TEST(TableSolver, ParallelMatchesSerial) {
 TEST(TableSolver, StencilsMatchReferenceSolverExactly) {
   // The precompiled stencils preserve the reference kernel's two-level
   // accumulation order (inner interpolation sum, pair-weighted outer sum),
-  // so the fast path must reproduce the legacy table bit for bit.
+  // so the fast path must reproduce the oracle's table bit for bit.
   const AcasXuConfig config = AcasXuConfig::coarse();
   const LogicTable stencil = solve_logic_table(config);
-  const LogicTable reference =
-      solve_logic_table(config, nullptr, nullptr, SolverMode::kReference);
+  const LogicTable reference = oracle::solve_logic_table(config);
   ASSERT_EQ(stencil.raw().size(), reference.raw().size());
   for (std::size_t i = 0; i < stencil.raw().size(); ++i) {
     ASSERT_EQ(stencil.raw()[i], reference.raw()[i]) << "entry " << i;
   }
+}
+
+/// The vertical mirror of an advisory: climb <-> descend at equal strength.
+Advisory mirrored(Advisory a) {
+  switch (a) {
+    case Advisory::kClimb1500: return Advisory::kDescend1500;
+    case Advisory::kDescend1500: return Advisory::kClimb1500;
+    case Advisory::kClimb2500: return Advisory::kDescend2500;
+    case Advisory::kDescend2500: return Advisory::kClimb2500;
+    case Advisory::kCoc: break;
+  }
+  return Advisory::kCoc;
+}
+
+TEST(TableSolver, MirrorSymmetryHoldsAtEveryTauLayer) {
+  // The dynamics, noise and cost models are symmetric under negating the
+  // vertical axis, and every grid axis is symmetric about 0, so the
+  // optimal logic must be too: negating (h, dh_own, dh_int) and swapping
+  // climb <-> descend in both the advisory memory and the action leaves Q
+  // unchanged, and maps the greedy action to its mirror wherever the
+  // choice is not a near-tie.  A property of the optimized table itself,
+  // not a golden value it happens to produce.
+  constexpr double kTol = 1e-9;
+  const LogicTable table = solve_logic_table(AcasXuConfig::coarse());
+  const auto& grid = table.grid();
+  std::size_t checked_argmins = 0;
+  for (std::size_t tau = 0; tau < table.num_tau_layers(); ++tau) {
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      auto idx = grid.unflatten(g);
+      for (std::size_t d = 0; d < 3; ++d) idx[d] = grid.axis(d).count() - 1 - idx[d];
+      const std::size_t mg = grid.flat_index(idx);
+      for (const Advisory ra : kAllAdvisories) {
+        const Advisory mra = mirrored(ra);
+        std::array<double, kNumAdvisories> q{};
+        for (const Advisory a : kAllAdvisories) {
+          q[static_cast<std::size_t>(a)] = table.at(tau, g, ra, a);
+          ASSERT_NEAR(table.at(tau, mg, mra, mirrored(a)), table.at(tau, g, ra, a), kTol)
+              << "tau " << tau << " point " << g << " ra " << static_cast<int>(ra)
+              << " action " << static_cast<int>(a);
+        }
+        std::array<std::size_t, kNumAdvisories> order{0, 1, 2, 3, 4};
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t x, std::size_t y) { return q[x] < q[y]; });
+        if (q[order[1]] - q[order[0]] <= kTol) continue;
+        ++checked_argmins;
+        const auto best = static_cast<Advisory>(order[0]);
+        Advisory mirror_best = Advisory::kCoc;
+        double mirror_q = std::numeric_limits<double>::infinity();
+        for (const Advisory a : kAllAdvisories) {
+          if (table.at(tau, mg, mra, a) < mirror_q) {
+            mirror_q = table.at(tau, mg, mra, a);
+            mirror_best = a;
+          }
+        }
+        ASSERT_EQ(mirror_best, mirrored(best))
+            << "tau " << tau << " point " << g << " ra " << static_cast<int>(ra);
+      }
+    }
+  }
+  EXPECT_GT(checked_argmins, 0U);
 }
 
 TEST(TableSolver, CompiledModelReproducesSolveExactly) {

@@ -1,7 +1,8 @@
 // Compiled-kernel tests: CompiledMdp must be a faithful flattening of the
 // virtual FiniteMdp (CSR rows are proper distributions), and the compiled /
-// parallel solver paths must reproduce the legacy virtual-dispatch sweeps
-// exactly on the paper's toy 2-D model.
+// parallel solver paths must reproduce the virtual-dispatch sweeps of the
+// test oracle (oracles/mdp_reference.h) exactly on the paper's toy 2-D
+// model.
 #include "mdp/compiled_mdp.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 
 #include "mdp/policy_iteration.h"
 #include "mdp/value_iteration.h"
+#include "oracles/mdp_reference.h"
 #include "toy2d/toy2d_mdp.h"
 #include "util/expect.h"
 #include "util/thread_pool.h"
@@ -79,7 +81,7 @@ TEST(CompiledMdp, BackupMatchesVirtualBackup) {
       const auto action = static_cast<Action>(a);
       // CSR preserves the expansion order, so the sums round identically.
       EXPECT_EQ(compiled.backup(state, action, values, 0.97),
-                backup(model, state, action, values, 0.97, scratch))
+                oracle::backup(model, state, action, values, 0.97, scratch))
           << "state " << s << " action " << a;
     }
   }
@@ -113,10 +115,8 @@ TEST(CompiledMdp, RejectsUnnormalizedTransitions) {
 
 TEST(CompiledValueIteration, MatchesVirtualPathExactly) {
   const auto model = toy_model();
-  ValueIterationConfig virtual_config;
-  virtual_config.use_compiled = false;
-  const auto reference = solve_value_iteration(model, virtual_config);
-  const auto compiled = solve_value_iteration(model);  // default: compiled
+  const auto reference = oracle::solve_value_iteration(model);
+  const auto compiled = solve_value_iteration(model);
 
   ASSERT_TRUE(reference.converged);
   ASSERT_TRUE(compiled.converged);
@@ -136,9 +136,7 @@ TEST(CompiledValueIteration, GaussSeidelMatchesVirtualGaussSeidel) {
   const auto model = toy_model();
   ValueIterationConfig config;
   config.gauss_seidel = true;
-  config.use_compiled = false;
-  const auto reference = solve_value_iteration(model, config);
-  config.use_compiled = true;
+  const auto reference = oracle::solve_value_iteration(model, config);
   const auto compiled = solve_value_iteration(model, config);
   ASSERT_EQ(compiled.values.size(), reference.values.size());
   for (std::size_t s = 0; s < reference.values.size(); ++s) {
@@ -172,7 +170,7 @@ TEST(CompiledValueIteration, ParallelMatchesSerialForAnyThreadCount) {
 
 TEST(CompiledFiniteHorizon, MatchesVirtualPathExactly) {
   const auto model = toy_model();
-  const auto reference = solve_finite_horizon(model, 9, 1.0, nullptr, /*use_compiled=*/false);
+  const auto reference = oracle::solve_finite_horizon(model, 9);
   const auto compiled = solve_finite_horizon(model, 9);
   ASSERT_EQ(reference.size(), compiled.size());
   for (std::size_t t = 0; t < reference.size(); ++t) {
@@ -204,12 +202,10 @@ TEST(CompiledFiniteHorizon, MatchesPerStageAndParallel) {
 
 TEST(CompiledPolicyIteration, MatchesVirtualAndParallelImprovement) {
   const auto model = toy_model();
-  PolicyIterationConfig config;
-  config.use_compiled = false;
-  const auto reference = solve_policy_iteration(model, config);
+  const auto reference = oracle::solve_policy_iteration(model);
   ASSERT_TRUE(reference.converged);
 
-  const auto compiled = solve_policy_iteration(model);  // default: compiled
+  const auto compiled = solve_policy_iteration(model);
   EXPECT_TRUE(compiled.converged);
   EXPECT_EQ(compiled.policy, reference.policy);
   for (std::size_t s = 0; s < reference.values.size(); ++s) {

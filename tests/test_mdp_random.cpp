@@ -11,6 +11,7 @@
 #include "mdp/mdp.h"
 #include "mdp/policy_iteration.h"
 #include "mdp/value_iteration.h"
+#include "oracles/mdp_reference.h"
 #include "util/rng.h"
 
 namespace cav::mdp {
@@ -180,7 +181,8 @@ TEST_P(RandomMdpTest, ValueSatisfiesBellmanOptimality) {
     }
     double best = 1e30;
     for (std::size_t a = 0; a < mdp.num_actions(); ++a) {
-      best = std::min(best, backup(mdp, state, static_cast<Action>(a), vi.values, 1.0, scratch));
+      best = std::min(best,
+                      oracle::backup(mdp, state, static_cast<Action>(a), vi.values, 1.0, scratch));
     }
     ASSERT_NEAR(vi.values[s], best, 1e-7) << "Bellman residual at state " << s;
   }

@@ -8,8 +8,10 @@
 
 #include <cmath>
 
+#include "mdp/compiled_mdp.h"
 #include "mdp/policy_iteration.h"
 #include "mdp/value_iteration.h"
+#include "oracles/mdp_reference.h"
 #include "util/expect.h"
 
 namespace cav::mdp {
@@ -209,10 +211,13 @@ TEST(GreedyPolicy, TiesBreakTowardLowestActionIndex) {
 
 TEST(Backup, ComputesExpectedCost) {
   const ChoiceMdp mdp;
+  const CompiledMdp compiled(mdp);
   Values values{0.0, 0.0, 10.0};
   std::vector<Transition> scratch;
-  EXPECT_NEAR(backup(mdp, 0, 1, values, 1.0, scratch), 5.0, 1e-12);
-  EXPECT_NEAR(backup(mdp, 0, 1, values, 0.5, scratch), 2.5, 1e-12);
+  EXPECT_NEAR(compiled.backup(0, 1, values, 1.0), 5.0, 1e-12);
+  EXPECT_NEAR(compiled.backup(0, 1, values, 0.5), 2.5, 1e-12);
+  EXPECT_NEAR(oracle::backup(mdp, 0, 1, values, 1.0, scratch), 5.0, 1e-12);
+  EXPECT_NEAR(oracle::backup(mdp, 0, 1, values, 0.5, scratch), 2.5, 1e-12);
 }
 
 TEST(Solvers, RejectDegenerateConfig) {

@@ -16,41 +16,53 @@
 namespace cav::sim {
 namespace {
 
+/// Two samples of a two-aircraft run: free flight, then both maneuvering.
 Trajectory two_point_trajectory() {
   Trajectory traj;
   TrajectorySample a;
   a.t_s = 0.0;
-  a.own_position_m = {0.0, 0.0, 1000.0};
-  a.intruder_position_m = {2000.0, 100.0, 1050.0};
-  a.own_advisory = "COC";
-  a.intruder_advisory = "COC";
-  a.separation_m = 2003.1;
+  a.position_m = {{0.0, 0.0, 1000.0}, {2000.0, 100.0, 1050.0}};
+  a.vs_mps = {0.0, 0.0};
+  a.advisory = {"COC", "COC"};
   TrajectorySample b;
   b.t_s = 10.0;
-  b.own_position_m = {400.0, 0.0, 1010.0};
-  b.intruder_position_m = {1600.0, 100.0, 1040.0};
-  b.own_advisory = "CL1500";
-  b.intruder_advisory = "DES1500";
-  b.separation_m = 1204.5;
+  b.position_m = {{400.0, 0.0, 1010.0}, {1600.0, 100.0, 1040.0}};
+  b.vs_mps = {2.0, -1.0};
+  b.advisory = {"CL1500", "DES1500"};
   traj.push_back(a);
   traj.push_back(b);
   return traj;
 }
 
-TEST(Trajectory, CsvHasHeaderAndRows) {
+TEST(Trajectory, CsvHasOneRowPerSampleAndAircraft) {
   const std::string path = ::testing::TempDir() + "/cav_traj_test.csv";
   write_trajectory_csv(two_point_trajectory(), path);
   std::ifstream in(path);
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_NE(line.find("t_s"), std::string::npos);
-  EXPECT_NE(line.find("own_advisory"), std::string::npos);
+  EXPECT_NE(line.find("aircraft"), std::string::npos);
+  EXPECT_NE(line.find("advisory"), std::string::npos);
   int rows = 0;
   while (std::getline(in, line)) {
     if (!line.empty()) ++rows;
   }
-  EXPECT_EQ(rows, 2);
+  EXPECT_EQ(rows, 4);
   std::remove(path.c_str());
+}
+
+TEST(Trajectory, ViewsDrawOnlyAircraftZeroAndOne) {
+  // A third aircraft far outside the pair's box must neither be plotted
+  // nor stretch the axes: the views are the same for every K.
+  const Trajectory pair = two_point_trajectory();
+  Trajectory three = pair;
+  for (auto& s : three) {
+    s.position_m.push_back({-9000.0, 9000.0, 3000.0});
+    s.vs_mps.push_back(0.0);
+    s.advisory.push_back("CL2500");
+  }
+  EXPECT_EQ(render_top_view(three), render_top_view(pair));
+  EXPECT_EQ(render_side_view(three), render_side_view(pair));
 }
 
 TEST(Trajectory, TopViewMarksAdvisoryStates) {
