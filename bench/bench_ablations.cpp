@@ -25,7 +25,7 @@ core::EncounterEvaluation evaluate_with(const core::FitnessConfig& config,
                                         const encounter::EncounterParams& params) {
   const auto factory = sim::AcasXuCas::factory(std::move(table));
   const core::EncounterEvaluator evaluator(config, factory, factory);
-  return evaluator.evaluate(params, 1);
+  return evaluator.evaluate(encounter::MultiEncounterParams::from_pairwise(params), 1);
 }
 
 core::FitnessConfig base_config() {
@@ -180,8 +180,11 @@ int main(int argc, char** argv) {
         const core::EncounterEvaluator evaluator(config, factory, factory);
         char label[64];
         std::snprintf(label, sizeof label, "belief %3.0fft (vpos %.0fm)", h_sigma, vpos_sigma);
-        const auto head = evaluator.evaluate(encounter::head_on(), 1);
-        const auto tail = evaluator.evaluate(encounter::tail_approach(), 1);
+        using encounter::MultiEncounterParams;
+        const auto head =
+            evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 1);
+        const auto tail =
+            evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::tail_approach()), 1);
         row("belief", label, head, tail);
       }
     }

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   bench::banner("E2: head-on encounter with coordination (paper Fig. 5)");
   const auto table = bench::standard_table();
   const auto acas = sim::AcasXuCas::factory(table);
-  const encounter::EncounterParams head_on = encounter::head_on();
+  const auto head_on = encounter::MultiEncounterParams::from_pairwise(encounter::head_on());
 
   // --- One instrumented run for the Fig. 5 picture. ---
   core::FitnessConfig trace_config;

@@ -200,8 +200,9 @@ int main(int argc, char** argv) {
 
   const auto row = [&](const char* name, const encounter::EncounterParams& params,
                        std::uint64_t stream) {
-    const auto b = before.evaluate(params, stream);
-    const auto a = after.evaluate(params, stream);
+    const auto multi = encounter::MultiEncounterParams::from_pairwise(params);
+    const auto b = before.evaluate(multi, stream);
+    const auto a = after.evaluate(multi, stream);
     std::printf("%-26s %3zu/100 (%3.0f%% alert)   %3zu/100 (%3.0f%% alert)\n", name, b.nmac_count,
                 100.0 * b.alert_fraction_own, a.nmac_count, 100.0 * a.alert_fraction_own);
     csv.cell(name).cell(b.nmac_rate()).cell(a.nmac_rate()).cell(b.alert_fraction_own)

@@ -56,8 +56,8 @@ BENCHMARK(BM_OnlineDecide);
 
 void BM_EncounterSimulation(benchmark::State& state) {
   const bool tail = state.range(0) == 1;
-  const encounter::EncounterParams params =
-      tail ? encounter::tail_approach() : encounter::head_on();
+  const auto params = encounter::MultiEncounterParams::from_pairwise(
+      tail ? encounter::tail_approach() : encounter::head_on());
   core::FitnessConfig config;
   config.runs_per_encounter = 1;
   const core::EncounterEvaluator evaluator(config, sim::AcasXuCas::factory(table()),
@@ -75,7 +75,7 @@ void BM_FitnessEvaluation(benchmark::State& state) {
   config.runs_per_encounter = static_cast<std::size_t>(state.range(0));
   const core::EncounterEvaluator evaluator(config, sim::AcasXuCas::factory(table()),
                                            sim::AcasXuCas::factory(table()));
-  const encounter::EncounterParams params = encounter::head_on();
+  const auto params = encounter::MultiEncounterParams::from_pairwise(encounter::head_on());
   std::uint64_t stream = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(evaluator.evaluate(params, stream++));

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   trace_config.runs_per_encounter = 1;
   const core::EncounterEvaluator tracer(trace_config, acas, acas);
   const sim::SimResult run =
-      tracer.run_once(encounter::tail_approach(), /*stream_id=*/7, /*run_index=*/0, true);
+      tracer.run_once(encounter::MultiEncounterParams::from_pairwise(encounter::tail_approach()),
+                      /*stream_id=*/7, /*run_index=*/0, true);
   std::printf("\n%s\n", sim::render_side_view(run.trajectory).c_str());
   std::printf("typical tail approach: min separation %.1f m, NMAC: %s, own alerted: %s\n",
               run.proximity.min_distance_m, run.nmac ? "YES" : "no",
@@ -49,7 +50,8 @@ int main(int argc, char** argv) {
               "alerted");
   const auto report = [&](const char* name, const encounter::EncounterParams& params,
                           std::uint64_t stream) {
-    const auto eval = evaluator.evaluate(params, stream);
+    const auto eval =
+        evaluator.evaluate(encounter::MultiEncounterParams::from_pairwise(params), stream);
     std::printf("%-28s %3zu/%-6zu %-14.1f %-10.1f %4.0f%%\n", name, eval.nmac_count, eval.runs,
                 eval.mean_miss_m, eval.fitness, 100.0 * eval.alert_fraction_own);
     return eval;
@@ -69,7 +71,8 @@ int main(int argc, char** argv) {
   for (const double closure : {1.0, 2.0, 4.0, 6.0, 10.0, 15.0, 20.0, 30.0}) {
     encounter::EncounterParams params = encounter::tail_approach();
     params.gs_int_mps = params.gs_own_mps + closure;  // overtake at this speed
-    const auto eval = evaluator.evaluate(params, 100 + static_cast<std::uint64_t>(closure));
+    const auto eval = evaluator.evaluate(encounter::MultiEncounterParams::from_pairwise(params),
+                                         100 + static_cast<std::uint64_t>(closure));
     const double range0 = closure * params.t_cpa_s;  // initial separation
     const double tau0 = (range0 > 152.4) ? (range0 - 152.4) / closure : 0.0;
     std::printf("%-18.1f %-12.1f %3zu/%-6zu %4.0f%%      %s\n", closure, tau0, eval.nmac_count,

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   for (const auto& found : result.top) {
     std::printf("  fitness %7.1f  NMAC %zu/%zu  loss %.2f burst %.2f blackout [%.1fs +%.1fs] "
                 "dropout %.2f\n",
-                found.fitness, found.detail.own_nmac_count, found.detail.runs,
+                found.fitness, found.detail.nmac_count, found.detail.runs,
                 found.faults.message_loss_prob, found.faults.burst_enter_prob,
                 found.faults.blackout_start_s, found.faults.blackout_duration_s,
                 found.faults.adsb_dropout_burst_prob);

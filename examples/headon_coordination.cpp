@@ -27,8 +27,9 @@ int main(int argc, char** argv) {
   const core::EncounterEvaluator evaluator(config, acas, acas);
 
   const encounter::EncounterParams head_on = encounter::head_on();
-  const sim::SimResult run = evaluator.run_once(head_on, /*stream_id=*/5, /*run_index=*/0,
-                                                /*record_trajectory=*/true);
+  const sim::SimResult run =
+      evaluator.run_once(encounter::MultiEncounterParams::from_pairwise(head_on),
+                         /*stream_id=*/5, /*run_index=*/0, /*record_trajectory=*/true);
 
   std::printf("head-on encounter (paper Fig. 5): both UAVs at 40 m/s, co-altitude,\n"
               "collision at t = %.0f s if nobody maneuvers.\n\n", head_on.t_cpa_s);

@@ -42,10 +42,11 @@ int main(int argc, char** argv) {
               "alerts", "risk ratio");
   for (const auto& r : {unequipped, tcas, acas}) {
     const auto ci = r.nmac_ci();
-    // risk_ratio reports the kRiskRatioUndefined sentinel (-1) when the
+    // The ratio is the kRiskRatioUndefined sentinel (-1) when the
     // unequipped baseline happened to record zero NMACs.
     std::printf("%-12s %-10zu %.4f [%.4f, %.4f]  %-10.3f %-12.3f\n", r.system.c_str(), r.nmacs,
-                r.nmac_rate(), ci.lo, ci.hi, r.alert_rate(), core::risk_ratio(r, unequipped));
+                r.nmac_rate(), ci.lo, ci.hi, r.alert_rate(),
+                core::risk_ratio_wilson(r, unequipped).ratio);
   }
 
   std::printf("\nreading: risk ratio is the fraction of unequipped NMAC risk remaining\n"

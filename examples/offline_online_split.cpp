@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
   config.runs_per_encounter = 100;
   const auto acas = sim::AcasXuCas::factory(loaded);
   const core::EncounterEvaluator evaluator(config, acas, acas);
-  const auto eval = evaluator.evaluate(encounter::head_on(), 1);
+  const auto eval =
+      evaluator.evaluate(encounter::MultiEncounterParams::from_pairwise(encounter::head_on()), 1);
   std::printf("online: head-on with the loaded table: NMAC %zu/%zu, mean miss %.1f m\n",
               eval.nmac_count, eval.runs, eval.mean_miss_m);
   return 0;

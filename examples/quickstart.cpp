@@ -44,10 +44,13 @@ int main() {
   const core::EncounterEvaluator evaluator(fitness_config, acas, acas);
 
   std::printf("== 2. head-on encounter, both UAVs equipped (paper Fig. 5) ==\n");
-  report("head-on", evaluator.evaluate(encounter::head_on(), 1));
+  using encounter::MultiEncounterParams;
+  report("head-on",
+         evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 1));
 
   std::printf("\n== 3. tail approach: climbing intruder overtakes descending own-ship ==\n");
-  report("tail-approach", evaluator.evaluate(encounter::tail_approach(), 2));
+  report("tail-approach",
+         evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::tail_approach()), 2));
 
   std::printf("\nThe tail approach defeats tau-based alerting (closure is tiny), which is\n"
               "exactly the challenging situation the paper's GA search surfaced.\n");

@@ -12,10 +12,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
-#include "encounter/encounter.h"
 #include "encounter/multi_encounter.h"
 #include "sim/cas.h"
 #include "sim/simulation.h"
@@ -28,7 +25,7 @@ struct FitnessConfig {
   /// max_time_s is overridden per encounter.  Set sim.threat_policy to
   /// kCostFused (or kJointTable, with joint-table-equipped CAS factories)
   /// to point the GA search at a multi-threat arbitration policy — the
-  /// evaluators pass this config through to every simulation.  sim.fault
+  /// evaluator passes this config through to every simulation.  sim.fault
   /// and sim.coordination inject degraded-mode conditions, so the GA can
   /// breed worst cases against a policy under bursty comms or sensor
   /// outages (see also search_degraded_multi_scenarios, which puts the
@@ -46,11 +43,14 @@ struct FitnessConfig {
   double equipage_fraction = 1.0;
 };
 
-/// Everything a fitness evaluation learns about one encounter.
+/// Everything a fitness evaluation learns about one encounter.  d_k is the
+/// own-ship-centric miss distance: 0 when any pair involving the own-ship
+/// reaches an NMAC, otherwise the minimum own-ship separation (with one
+/// intruder, simply the pair's miss distance).
 struct EncounterEvaluation {
   double fitness = 0.0;
   std::size_t runs = 0;
-  std::size_t nmac_count = 0;        ///< mid-air collisions across the runs
+  std::size_t nmac_count = 0;        ///< runs with an own-ship NMAC
   double mean_miss_m = 0.0;          ///< mean of d_k
   double min_miss_m = 0.0;           ///< best (smallest) d_k seen
   double alert_fraction_own = 0.0;   ///< runs where the own-ship ever alerted
@@ -63,99 +63,23 @@ struct EncounterEvaluation {
   }
 };
 
-/// One run's raw outcome — the canonical work-unit cell of the fitness
-/// surface, mirroring core::ValidationCampaign's per-cell partials
-/// (validation_campaign.h).  Evaluations are reconstructed from per-run
-/// outcomes in run order, so any partition of the run range into stripes
-/// merges bit-identically to the flat loop.
-struct FitnessRunOutcome {
-  double miss_m = 0.0;   ///< d_k: 0 on NMAC, else min separation
-  bool nmac = false;     ///< (own-ship NMAC for the multi evaluator)
-  bool own_alert = false;
-  double wall_s = 0.0;   ///< host timing; not deterministic
-};
-
-/// Evaluates encounters by repeated stochastic simulation.  Thread-safe:
-/// evaluate() is const and every run derives its own RNG streams from
-/// (seed, stream_id, run_index).
+/// Evaluates K-intruder encounters (K >= 1) by repeated stochastic
+/// simulation of the N-aircraft engine.  A pairwise encounter is the K = 1
+/// case: wrap it with encounter::MultiEncounterParams::from_pairwise.
+/// Thread-safe: evaluate() is const and every run derives its own RNG
+/// streams from (seed, stream_id, run_index).
 class EncounterEvaluator {
  public:
   EncounterEvaluator(FitnessConfig config, sim::CasFactory own_cas, sim::CasFactory intruder_cas);
 
   /// `stream_id` distinguishes evaluations (the GA passes its evaluation
   /// index); identical (params, stream_id) give identical results.
-  /// Equivalent to merge(evaluate_runs(params, stream_id, 0, runs)) —
-  /// the single-stripe form of the work-unit surface below.
-  EncounterEvaluation evaluate(const encounter::EncounterParams& params,
+  EncounterEvaluation evaluate(const encounter::MultiEncounterParams& params,
                                std::uint64_t stream_id) const;
 
-  /// Work-unit surface: evaluate runs [begin, end) of this encounter (a
-  /// fitness stripe).  Each run's outcome depends only on (seed,
-  /// stream_id, run index), so stripes are placement-independent.
-  std::vector<FitnessRunOutcome> evaluate_runs(const encounter::EncounterParams& params,
-                                               std::uint64_t stream_id, std::size_t begin,
-                                               std::size_t end) const;
-
-  /// Merge per-run outcomes (concatenated in run order, covering all
-  /// config().runs_per_encounter runs) into the evaluation.  The
-  /// accumulation walks runs in order — bit-identical to the flat
-  /// evaluate() loop for any striping.
-  EncounterEvaluation merge(std::span<const FitnessRunOutcome> outcomes) const;
-
   /// One fully instrumented run (trajectory recorded) for inspection.
-  sim::SimResult run_once(const encounter::EncounterParams& params, std::uint64_t stream_id,
+  sim::SimResult run_once(const encounter::MultiEncounterParams& params, std::uint64_t stream_id,
                           std::size_t run_index, bool record_trajectory) const;
-
-  const FitnessConfig& config() const { return config_; }
-
- private:
-  FitnessConfig config_;
-  sim::CasFactory own_cas_;
-  sim::CasFactory intruder_cas_;
-};
-
-/// Multi-intruder fitness evaluation: the same paper fitness, with d_k the
-/// own-ship-centric miss distance (0 when any pair involving the own-ship
-/// reaches an NMAC, otherwise the minimum own-ship separation).
-struct MultiEncounterEvaluation {
-  double fitness = 0.0;
-  std::size_t runs = 0;
-  std::size_t own_nmac_count = 0;    ///< runs with an own-ship NMAC
-  double mean_miss_m = 0.0;          ///< mean of d_k
-  double min_miss_m = 0.0;           ///< best (smallest) d_k seen
-  double alert_fraction_own = 0.0;   ///< runs where the own-ship ever alerted
-  /// Summed SimResult::wall_time_s across the runs — what this encounter
-  /// cost to evaluate.  Host timing, not deterministic.
-  double wall_s = 0.0;
-
-  double nmac_rate() const {
-    return runs ? static_cast<double>(own_nmac_count) / static_cast<double>(runs) : 0.0;
-  }
-};
-
-/// Evaluates K-intruder encounters by repeated stochastic simulation of the
-/// N-aircraft engine.  Thread-safe exactly like EncounterEvaluator: every
-/// run derives its own RNG streams from (seed, stream_id, run_index).
-class MultiEncounterEvaluator {
- public:
-  MultiEncounterEvaluator(FitnessConfig config, sim::CasFactory own_cas,
-                          sim::CasFactory intruder_cas);
-
-  /// Equivalent to merge(evaluate_runs(params, stream_id, 0, runs)).
-  MultiEncounterEvaluation evaluate(const encounter::MultiEncounterParams& params,
-                                    std::uint64_t stream_id) const;
-
-  /// Work-unit surface, mirroring EncounterEvaluator: per-run outcomes
-  /// for runs [begin, end), and the order-preserving merge.
-  std::vector<FitnessRunOutcome> evaluate_runs(const encounter::MultiEncounterParams& params,
-                                               std::uint64_t stream_id, std::size_t begin,
-                                               std::size_t end) const;
-  MultiEncounterEvaluation merge(std::span<const FitnessRunOutcome> outcomes) const;
-
-  /// One fully instrumented run (trajectory recorded) for inspection.
-  sim::SimResult run_once(const encounter::MultiEncounterParams& params,
-                          std::uint64_t stream_id, std::size_t run_index,
-                          bool record_trajectory) const;
 
   const FitnessConfig& config() const { return config_; }
 

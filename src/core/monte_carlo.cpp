@@ -4,12 +4,6 @@
 
 namespace cav::core {
 
-double risk_ratio(const SystemRates& system, const SystemRates& unequipped) {
-  const double base = unequipped.nmac_rate();
-  if (base <= 0.0) return kRiskRatioUndefined;
-  return system.nmac_rate() / base;
-}
-
 RiskRatioEstimate risk_ratio_wilson(const SystemRates& system, const SystemRates& unequipped) {
   RiskRatioEstimate est;
   est.defined = unequipped.nmac_rate() > 0.0;

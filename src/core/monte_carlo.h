@@ -88,26 +88,22 @@ struct SystemRates {
   Interval alert_ci() const { return wilson_interval(alerts, encounters); }
 };
 
-/// risk_ratio's return value when the ratio is undefined because the
+/// RiskRatioEstimate::ratio when the ratio is undefined because the
 /// unequipped baseline recorded zero NMACs (0/0 traffic — nothing to
 /// normalize against).  A negative sentinel instead of the historical
 /// quiet NaN: it compares false against every threshold (NaN comparisons
 /// are silently false TOO, but also poison downstream arithmetic without
-/// a trace), prints recognizably, and round-trips through JSON.  Callers
-/// that need the uncertainty-aware answer should use risk_ratio_wilson().
+/// a trace), prints recognizably, and round-trips through JSON.
 inline constexpr double kRiskRatioUndefined = -1.0;
 
 /// Risk ratio of `system` relative to `unequipped` (the standard headline
-/// metric: equipped NMAC rate / unequipped NMAC rate).  Returns
-/// kRiskRatioUndefined when the baseline NMAC rate is zero.
-double risk_ratio(const SystemRates& system, const SystemRates& unequipped);
-
-/// Risk ratio with Wilson-interval awareness: the point ratio plus a
-/// conservative 95% interval [lo, hi] formed from the two rates' Wilson
-/// bounds (lo = sys.lo / base.hi, hi = sys.hi / base.lo).  When the
-/// baseline recorded zero NMACs, `defined` is false, `ratio` is
-/// kRiskRatioUndefined, and the interval is the honest [sys.lo/base.hi,
-/// +inf) — the data bounds the ratio from below but not above.
+/// metric: equipped NMAC rate / unequipped NMAC rate) with Wilson-interval
+/// awareness: the point ratio plus a conservative 95% interval [lo, hi]
+/// formed from the two rates' Wilson bounds (lo = sys.lo / base.hi,
+/// hi = sys.hi / base.lo).  When the baseline recorded zero NMACs,
+/// `defined` is false, `ratio` is kRiskRatioUndefined, and the interval is
+/// the honest [sys.lo/base.hi, +inf) — the data bounds the ratio from below
+/// but not above.
 struct RiskRatioEstimate {
   double ratio = kRiskRatioUndefined;
   double lo = 0.0;

@@ -13,6 +13,17 @@ namespace {
 /// from different searches are comparable.
 constexpr std::uint64_t kReportStreamId = 0xF00D;
 
+/// Per-gene bounds of a K-intruder geometry genome (see make_genome_spec).
+std::vector<ga::GeneBounds> geometry_bounds(const encounter::ParamRanges& ranges,
+                                            std::size_t intruders) {
+  std::vector<double> lo;
+  std::vector<double> hi;
+  encounter::multi_param_bounds(ranges, intruders, &lo, &hi);
+  std::vector<ga::GeneBounds> bounds(lo.size());
+  for (std::size_t i = 0; i < lo.size(); ++i) bounds[i] = {lo[i], hi[i]};
+  return bounds;
+}
+
 /// Two genomes are "the same finding" when every gene is within 5% of its
 /// bound width of the other; keeps the reported top lists diverse.
 bool similar_genome(const ga::Genome& a, const ga::Genome& b, const ga::GenomeSpec& spec) {
@@ -26,7 +37,7 @@ bool similar_genome(const ga::Genome& a, const ga::Genome& b, const ga::GenomeSp
 /// Rank the final population plus the all-time best, deduplicate in the
 /// normalized genome space, and build one Found entry per survivor (the
 /// caller decodes the genome and re-evaluates on kReportStreamId).  Shared
-/// by the pairwise and multi-intruder searches so the ranking, similarity
+/// by the pairwise and degraded searches so the ranking, similarity
 /// threshold, and reporting stream cannot drift apart.
 template <typename Found, typename MakeFound>
 std::vector<Found> collect_top_genomes(const ga::SearchResult& ga_result,
@@ -54,15 +65,14 @@ std::vector<Found> collect_top_genomes(const ga::SearchResult& ga_result,
 std::vector<FoundScenario> collect_top(const ga::SearchResult& ga_result,
                                        const ScenarioSearchConfig& config,
                                        const EncounterEvaluator& evaluator) {
-  const ga::GenomeSpec spec = make_genome_spec(config.ranges);
+  const ga::GenomeSpec spec = make_genome_spec(config.ranges, 1);
   return collect_top_genomes<FoundScenario>(
       ga_result, spec, config.keep_top, [&](const ga::Individual& ind) {
-        std::array<double, encounter::kNumParams> a{};
-        std::copy_n(ind.genome.begin(), encounter::kNumParams, a.begin());
+        const auto params = encounter::MultiEncounterParams::from_vector(ind.genome);
         FoundScenario found;
-        found.params = encounter::EncounterParams::from_array(a);
+        found.params = params.pairwise(0);
         found.fitness = ind.fitness;
-        found.detail = evaluator.evaluate(found.params, kReportStreamId);
+        found.detail = evaluator.evaluate(params, kReportStreamId);
         return found;
       });
 }
@@ -98,15 +108,13 @@ std::size_t generation_of(std::size_t eval_index, const ga::GaConfig& config) {
 ga::FitnessFunction make_fitness(const EncounterEvaluator& evaluator,
                                  std::vector<LogEntry>* log, const ga::GaConfig& ga_config) {
   return [&evaluator, log, ga_config](const ga::Genome& genome, std::uint64_t eval_index) {
-    std::array<double, encounter::kNumParams> a{};
-    std::copy_n(genome.begin(), encounter::kNumParams, a.begin());
-    const auto params = encounter::EncounterParams::from_array(a);
+    const auto params = encounter::MultiEncounterParams::from_vector(genome);
     const EncounterEvaluation eval = evaluator.evaluate(params, eval_index);
     if (log != nullptr && eval_index < log->size()) {
       LogEntry& entry = (*log)[eval_index];
       entry.evaluation_index = eval_index;
       entry.generation = generation_of(eval_index, ga_config);
-      entry.params = params;
+      entry.params = params.pairwise(0);
       entry.fitness = eval.fitness;
       entry.nmac_rate = eval.nmac_rate();
       entry.alert_fraction = eval.alert_fraction_own;
@@ -118,22 +126,8 @@ ga::FitnessFunction make_fitness(const EncounterEvaluator& evaluator,
 
 }  // namespace
 
-ga::GenomeSpec make_genome_spec(const encounter::ParamRanges& ranges) {
-  std::vector<ga::GeneBounds> bounds(encounter::kNumParams);
-  for (std::size_t i = 0; i < encounter::kNumParams; ++i) {
-    bounds[i] = {ranges.lo[i], ranges.hi[i]};
-  }
-  return ga::GenomeSpec(std::move(bounds));
-}
-
-ga::GenomeSpec make_multi_genome_spec(const encounter::ParamRanges& ranges,
-                                      std::size_t intruders) {
-  std::vector<double> lo;
-  std::vector<double> hi;
-  encounter::multi_param_bounds(ranges, intruders, &lo, &hi);
-  std::vector<ga::GeneBounds> bounds(lo.size());
-  for (std::size_t i = 0; i < lo.size(); ++i) bounds[i] = {lo[i], hi[i]};
-  return ga::GenomeSpec(std::move(bounds));
+ga::GenomeSpec make_genome_spec(const encounter::ParamRanges& ranges, std::size_t intruders) {
+  return ga::GenomeSpec(geometry_bounds(ranges, intruders));
 }
 
 ScenarioSearchResult search_challenging_scenarios(const ScenarioSearchConfig& config,
@@ -144,7 +138,7 @@ ScenarioSearchResult search_challenging_scenarios(const ScenarioSearchConfig& co
   expect_valid_ga(config.ga);
   const auto t0 = std::chrono::steady_clock::now();
   const EncounterEvaluator evaluator(config.fitness, own_cas, intruder_cas);
-  const ga::GenomeSpec spec = make_genome_spec(config.ranges);
+  const ga::GenomeSpec spec = make_genome_spec(config.ranges, 1);
 
   ScenarioSearchResult result;
   std::vector<LogEntry> log(ga_budget(config.ga));
@@ -165,7 +159,7 @@ ScenarioSearchResult random_search_scenarios(const ScenarioSearchConfig& config,
   expect_valid_ga(config.ga);
   const auto t0 = std::chrono::steady_clock::now();
   const EncounterEvaluator evaluator(config.fitness, own_cas, intruder_cas);
-  const ga::GenomeSpec spec = make_genome_spec(config.ranges);
+  const ga::GenomeSpec spec = make_genome_spec(config.ranges, 1);
   const std::size_t budget = config.ga.population_size * config.ga.generations;
 
   ScenarioSearchResult result;
@@ -215,16 +209,12 @@ DegradedConditions DegradedConditions::from_genome_tail(const std::vector<double
 ga::GenomeSpec make_degraded_genome_spec(const encounter::ParamRanges& ranges,
                                          std::size_t intruders,
                                          const DegradedGeneRanges& fault_ranges) {
-  std::vector<double> lo;
-  std::vector<double> hi;
-  encounter::multi_param_bounds(ranges, intruders, &lo, &hi);
-  std::vector<ga::GeneBounds> bounds(lo.size() + DegradedConditions::kNumGenes);
-  for (std::size_t i = 0; i < lo.size(); ++i) bounds[i] = {lo[i], hi[i]};
-  bounds[lo.size() + 0] = {0.0, fault_ranges.message_loss_hi};
-  bounds[lo.size() + 1] = {0.0, fault_ranges.burst_enter_hi};
-  bounds[lo.size() + 2] = {0.0, fault_ranges.blackout_start_hi};
-  bounds[lo.size() + 3] = {0.0, fault_ranges.blackout_duration_hi};
-  bounds[lo.size() + 4] = {0.0, fault_ranges.dropout_burst_hi};
+  std::vector<ga::GeneBounds> bounds = geometry_bounds(ranges, intruders);
+  bounds.push_back({0.0, fault_ranges.message_loss_hi});
+  bounds.push_back({0.0, fault_ranges.burst_enter_hi});
+  bounds.push_back({0.0, fault_ranges.blackout_start_hi});
+  bounds.push_back({0.0, fault_ranges.blackout_duration_hi});
+  bounds.push_back({0.0, fault_ranges.dropout_burst_hi});
   return ga::GenomeSpec(std::move(bounds));
 }
 
@@ -251,7 +241,7 @@ DegradedSearchResult search_degraded_multi_scenarios(
     const DegradedConditions conditions = DegradedConditions::from_genome_tail(genome);
     FitnessConfig fitness_config = config.fitness;
     conditions.apply(&fitness_config.sim);
-    const MultiEncounterEvaluator evaluator(fitness_config, own_cas, intruder_cas);
+    const EncounterEvaluator evaluator(fitness_config, own_cas, intruder_cas);
     return evaluator.evaluate(params, stream_id);
   };
 
@@ -270,38 +260,6 @@ DegradedSearchResult search_degraded_multi_scenarios(
         found.faults = DegradedConditions::from_genome_tail(ind.genome);
         found.fitness = ind.fitness;
         found.detail = evaluate_genome(ind.genome, kReportStreamId);
-        return found;
-      });
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return result;
-}
-
-MultiScenarioSearchResult search_challenging_multi_scenarios(
-    const MultiScenarioSearchConfig& config, const sim::CasFactory& own_cas,
-    const sim::CasFactory& intruder_cas, ThreadPool* pool,
-    const ga::GenerationCallback& on_generation) {
-  expect_valid_ga(config.ga);
-  expect(config.intruders >= 1, "intruders >= 1");
-  const auto t0 = std::chrono::steady_clock::now();
-  const MultiEncounterEvaluator evaluator(config.fitness, own_cas, intruder_cas);
-  const ga::GenomeSpec spec = make_multi_genome_spec(config.ranges, config.intruders);
-
-  const ga::FitnessFunction fitness = [&evaluator](const ga::Genome& genome,
-                                                   std::uint64_t eval_index) {
-    const auto params = encounter::MultiEncounterParams::from_vector(genome);
-    return evaluator.evaluate(params, eval_index).fitness;
-  };
-
-  MultiScenarioSearchResult result;
-  result.ga = ga::run_ga(spec, fitness, config.ga, pool, on_generation);
-  result.top = collect_top_genomes<FoundMultiScenario>(
-      result.ga, spec, config.keep_top, [&](const ga::Individual& ind) {
-        FoundMultiScenario found;
-        found.params = encounter::MultiEncounterParams::from_vector(ind.genome);
-        found.fitness = ind.fitness;
-        found.detail = evaluator.evaluate(found.params, kReportStreamId);
         return found;
       });
 

@@ -43,13 +43,11 @@ struct ScenarioSearchResult {
   double best_fitness() const { return ga.best.fitness; }
 };
 
-/// Build the GA genome spec from the parameter ranges.
-ga::GenomeSpec make_genome_spec(const encounter::ParamRanges& ranges);
-
-/// Genome spec for a K-intruder search: 2 own genes + 7 per intruder,
-/// index-aligned with encounter::MultiEncounterParams::to_vector().
-ga::GenomeSpec make_multi_genome_spec(const encounter::ParamRanges& ranges,
-                                      std::size_t intruders);
+/// GA genome spec of a K-intruder encounter: 2 own genes + 7 per
+/// intruder, index-aligned with encounter::MultiEncounterParams::to_vector()
+/// and bounded by the pairwise ranges.  K = 1 is the paper's 9-parameter
+/// genome, in encounter::EncounterParams::to_array() order.
+ga::GenomeSpec make_genome_spec(const encounter::ParamRanges& ranges, std::size_t intruders);
 
 /// Run the GA search against the system pair produced by the factories.
 ScenarioSearchResult search_challenging_scenarios(const ScenarioSearchConfig& config,
@@ -64,11 +62,11 @@ ScenarioSearchResult random_search_scenarios(const ScenarioSearchConfig& config,
                                              const sim::CasFactory& intruder_cas,
                                              ThreadPool* pool = nullptr);
 
-/// Multi-intruder worst-case search: the same GA loop over the
-/// (2 + 7K)-gene space, scored by the own-ship-centric fitness on the
-/// N-aircraft engine.  To attack the fused multi-threat policy instead of
-/// the nearest-threat one, set fitness.sim.threat_policy = kCostFused —
-/// the GA then breeds worst cases against the arbitration layer itself.
+/// Multi-intruder search settings, used by the degraded-mode attack below:
+/// the same GA loop over the (2 + 7K)-gene space, scored by the
+/// own-ship-centric fitness on the N-aircraft engine.  To attack the fused
+/// multi-threat policy instead of the nearest-threat one, set
+/// fitness.sim.threat_policy = kCostFused.
 struct MultiScenarioSearchConfig {
   ga::GaConfig ga;
   encounter::ParamRanges ranges;    ///< per-intruder bounds (pairwise shape)
@@ -76,25 +74,6 @@ struct MultiScenarioSearchConfig {
   FitnessConfig fitness;
   std::size_t keep_top = 10;
 };
-
-struct FoundMultiScenario {
-  encounter::MultiEncounterParams params;
-  double fitness = 0.0;
-  MultiEncounterEvaluation detail;  ///< re-evaluation with a fixed stream
-};
-
-struct MultiScenarioSearchResult {
-  ga::SearchResult ga;
-  std::vector<FoundMultiScenario> top;  ///< descending fitness, deduplicated
-  double wall_seconds = 0.0;
-
-  double best_fitness() const { return ga.best.fitness; }
-};
-
-MultiScenarioSearchResult search_challenging_multi_scenarios(
-    const MultiScenarioSearchConfig& config, const sim::CasFactory& own_cas,
-    const sim::CasFactory& intruder_cas, ThreadPool* pool = nullptr,
-    const ga::GenerationCallback& on_generation = {});
 
 // --- Degraded-mode attack campaign (E14) -----------------------------
 //
@@ -144,7 +123,7 @@ struct FoundDegradedScenario {
   encounter::MultiEncounterParams params;
   DegradedConditions faults;
   double fitness = 0.0;
-  MultiEncounterEvaluation detail;  ///< re-evaluation with a fixed stream
+  EncounterEvaluation detail;  ///< re-evaluation with a fixed stream
 };
 
 struct DegradedSearchResult {
@@ -155,7 +134,7 @@ struct DegradedSearchResult {
   double best_fitness() const { return ga.best.fitness; }
 };
 
-/// Genome spec of the degraded search: the multi-intruder geometry genes
+/// Genome spec of the degraded search: make_genome_spec's geometry genes
 /// plus the kNumGenes fault genes.
 ga::GenomeSpec make_degraded_genome_spec(const encounter::ParamRanges& ranges,
                                          std::size_t intruders,

@@ -55,44 +55,6 @@ CompiledMdp::CompiledMdp(const FiniteMdp& mdp)
   }
 }
 
-void CompiledMdp::build_reverse_graph() const {
-  // State-granularity transpose with per-source dedup: for each successor
-  // state, the set of source states reaching it under any action.  Two
-  // counting-sort passes over the entry array; a stamp vector collapses the
-  // (source, successor) duplicates that multiple actions / noise branches
-  // of one source produce, which keeps the prioritized queue from pushing
-  // the same predecessor several times per update.
-  constexpr State kNoStamp = std::numeric_limits<State>::max();
-  std::vector<State> stamp(num_states_, kNoStamp);
-
-  pred_offsets_.assign(num_states_ + 1, 0);
-  for (std::size_t s = 0; s < num_states_; ++s) {
-    const std::size_t begin = row_offsets_[s * num_actions_];
-    const std::size_t end = row_offsets_[(s + 1) * num_actions_];
-    for (std::size_t k = begin; k < end; ++k) {
-      const State succ = next_state_[k];
-      if (stamp[succ] == static_cast<State>(s)) continue;
-      stamp[succ] = static_cast<State>(s);
-      ++pred_offsets_[succ + 1];
-    }
-  }
-  for (std::size_t s = 0; s < num_states_; ++s) pred_offsets_[s + 1] += pred_offsets_[s];
-
-  pred_state_.resize(pred_offsets_[num_states_]);
-  std::vector<std::size_t> fill(pred_offsets_.begin(), pred_offsets_.end() - 1);
-  stamp.assign(num_states_, kNoStamp);
-  for (std::size_t s = 0; s < num_states_; ++s) {
-    const std::size_t begin = row_offsets_[s * num_actions_];
-    const std::size_t end = row_offsets_[(s + 1) * num_actions_];
-    for (std::size_t k = begin; k < end; ++k) {
-      const State succ = next_state_[k];
-      if (stamp[succ] == static_cast<State>(s)) continue;
-      stamp[succ] = static_cast<State>(s);
-      pred_state_[fill[succ]++] = static_cast<State>(s);
-    }
-  }
-}
-
 void CompiledMdp::refresh_costs(const FiniteMdp& mdp) {
   // Validate BEFORE writing anything: a rejected revision (e.g. an invalid
   // GA candidate the caller catches and skips) must leave the compiled

@@ -19,6 +19,8 @@
 namespace cav::acasx {
 namespace {
 
+using encounter::MultiEncounterParams;
+
 AircraftTrack track(double x, double y, double z, double vx, double vy, double vz) {
   return {{x, y, z}, {vx, vy, vz}};
 }
@@ -162,8 +164,9 @@ TEST_F(BeliefTest, ModerateBeliefClosedLoopNotLessSafe) {
       config, sim::BeliefAcasXuCas::factory(*table_, belief),
       sim::BeliefAcasXuCas::factory(*table_, belief));
 
-  const auto point_result = point_eval.evaluate(encounter::head_on(), 9);
-  const auto belief_result = belief_eval.evaluate(encounter::head_on(), 9);
+  const auto head_on = MultiEncounterParams::from_pairwise(encounter::head_on());
+  const auto point_result = point_eval.evaluate(head_on, 9);
+  const auto belief_result = belief_eval.evaluate(head_on, 9);
   EXPECT_LE(belief_result.nmac_count, point_result.nmac_count + 2);
 }
 

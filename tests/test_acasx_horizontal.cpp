@@ -19,6 +19,8 @@
 namespace cav::acasx {
 namespace {
 
+using encounter::MultiEncounterParams;
+
 AircraftTrack track(double x, double y, double z, double vx, double vy, double vz) {
   return {{x, y, z}, {vx, vy, vz}};
 }
@@ -217,8 +219,9 @@ TEST_F(CombinedClosedLoopTest, RevisionClosesTheTailBlindSpot) {
   const core::EncounterEvaluator before(config, vertical_only, vertical_only);
   const core::EncounterEvaluator after(config, combined, combined);
 
-  const auto tail_before = before.evaluate(encounter::tail_approach(), 1);
-  const auto tail_after = after.evaluate(encounter::tail_approach(), 1);
+  const auto tail_approach = MultiEncounterParams::from_pairwise(encounter::tail_approach());
+  const auto tail_before = before.evaluate(tail_approach, 1);
+  const auto tail_after = after.evaluate(tail_approach, 1);
   EXPECT_GT(tail_before.nmac_count, 50U) << "the blind spot must exist pre-revision";
   EXPECT_LT(tail_after.nmac_count, tail_before.nmac_count / 4)
       << "the revision must cut tail NMACs by at least 4x";
@@ -229,7 +232,8 @@ TEST_F(CombinedClosedLoopTest, RevisionPreservesHeadOnResolution) {
   config.runs_per_encounter = 60;
   const auto combined = sim::CombinedCas::factory(*vertical_, *horizontal_);
   const core::EncounterEvaluator evaluator(config, combined, combined);
-  const auto head = evaluator.evaluate(encounter::head_on(), 2);
+  const auto head =
+      evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 2);
   EXPECT_LE(head.nmac_count, 3U);
 }
 

@@ -1,7 +1,6 @@
 // ValidationCampaign work-unit surface: stripe tiling, the N-shard merge
 // bit-identity contract (the property sharded execution stands on), run()
-// as a single whole-range stripe, the risk-ratio sentinel/Wilson API, and
-// the fitness evaluators' matching evaluate_runs/merge surface.
+// as a single whole-range stripe, and the risk-ratio sentinel/Wilson API.
 #include "core/validation_campaign.h"
 
 #include <gtest/gtest.h>
@@ -12,10 +11,8 @@
 #include <vector>
 
 #include "baselines/tcas_like.h"
-#include "core/fitness.h"
 #include "core/monte_carlo.h"
 #include "encounter/encounter.h"
-#include "encounter/multi_encounter.h"
 
 namespace cav::core {
 namespace {
@@ -130,12 +127,9 @@ TEST(RiskRatioTest, WilsonVariantOnDefinedBaseline) {
   sys.encounters = 1000;
   sys.nmacs = 10;
 
-  const double point = risk_ratio(sys, base);
-  EXPECT_NEAR(point, 0.1, 1e-12);
-
   const RiskRatioEstimate est = risk_ratio_wilson(sys, base);
   EXPECT_TRUE(est.defined);
-  EXPECT_EQ(est.ratio, point);
+  EXPECT_NEAR(est.ratio, 0.1, 1e-12);
   EXPECT_GT(est.lo, 0.0);
   EXPECT_LT(est.lo, est.ratio);
   EXPECT_GT(est.hi, est.ratio);
@@ -150,11 +144,8 @@ TEST(RiskRatioTest, ZeroNmacBaselineYieldsSentinelNotNan) {
   sys.encounters = 500;
   sys.nmacs = 5;
 
-  const double point = risk_ratio(sys, base);
-  EXPECT_FALSE(std::isnan(point)) << "the historical quiet-NaN must be gone";
-  EXPECT_EQ(point, kRiskRatioUndefined);
-
   const RiskRatioEstimate est = risk_ratio_wilson(sys, base);
+  EXPECT_FALSE(std::isnan(est.ratio)) << "the historical quiet-NaN must be gone";
   EXPECT_FALSE(est.defined);
   EXPECT_EQ(est.ratio, kRiskRatioUndefined);
   // The honest interval: bounded below (baseline's Wilson hi is > 0 on
@@ -170,7 +161,6 @@ TEST(RiskRatioTest, ZeroSystemNmacsIsAHardZeroWhenDefined) {
   SystemRates sys;
   sys.encounters = 200;
   sys.nmacs = 0;
-  EXPECT_EQ(risk_ratio(sys, base), 0.0);
   const RiskRatioEstimate est = risk_ratio_wilson(sys, base);
   EXPECT_TRUE(est.defined);
   EXPECT_EQ(est.ratio, 0.0);
@@ -178,47 +168,51 @@ TEST(RiskRatioTest, ZeroSystemNmacsIsAHardZeroWhenDefined) {
   EXPECT_GT(est.hi, 0.0) << "Wilson hi of 0/200 is positive — no false certainty";
 }
 
-TEST(FitnessWorkUnitTest, EvaluateEqualsMergedStripes) {
-  // The GA fitness evaluator mirrors the campaign's work-unit surface:
-  // any partition of the run range merges bit-identically to evaluate().
-  FitnessConfig config;
-  config.runs_per_encounter = 12;
-  const EncounterEvaluator evaluator(config, {}, {});
-  const auto params = encounter::crossing();
-
-  const EncounterEvaluation whole = evaluator.evaluate(params, 7);
-  for (const std::size_t cut : {1u, 5u, 11u}) {
-    auto head = evaluator.evaluate_runs(params, 7, 0, cut);
-    const auto tail = evaluator.evaluate_runs(params, 7, cut, config.runs_per_encounter);
-    head.insert(head.end(), tail.begin(), tail.end());
-    const EncounterEvaluation merged = evaluator.merge(head);
-    EXPECT_EQ(merged.runs, whole.runs);
-    EXPECT_EQ(merged.nmac_count, whole.nmac_count);
-    EXPECT_EQ(merged.fitness, whole.fitness) << "cut=" << cut;
-    EXPECT_EQ(merged.mean_miss_m, whole.mean_miss_m) << "cut=" << cut;
-    EXPECT_EQ(merged.min_miss_m, whole.min_miss_m) << "cut=" << cut;
-    EXPECT_EQ(merged.alert_fraction_own, whole.alert_fraction_own) << "cut=" << cut;
+TEST(RiskRatioTest, WilsonIntervalCoverageIsConservative) {
+  // Exact coverage of risk_ratio_wilson's interval: for true rates
+  // (p_base, ratio * p_base) at equal campaign sizes n, the probability
+  // over independent k_sys ~ Bin(n, ratio * p_base) and k_base ~ Bin(n,
+  // p_base) that [lo, hi] contains the true ratio, summed from the two
+  // binomial pmfs rather than sampled.  Counts whose pmf is below 1e-16
+  // are skipped (at most (n + 1) * 1e-16 of mass per axis).  Dividing the
+  // two 95% Wilson bounds crosswise is conservative: every grid point
+  // covers at least the nominal 95%.
+  const auto pmf = [](std::size_t n, double p) {
+    const double nd = static_cast<double>(n);
+    std::vector<double> out(n + 1);
+    for (std::size_t k = 0; k <= n; ++k) {
+      const double kd = static_cast<double>(k);
+      out[k] = std::exp(std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+                        std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+                        (nd - kd) * std::log1p(-p));
+    }
+    return out;
+  };
+  for (const std::size_t n : {100U, 500U, 2000U}) {
+    for (const double p_base : {0.02, 0.05, 0.1, 0.3}) {
+      const std::vector<double> base_pmf = pmf(n, p_base);
+      for (const double ratio : {0.05, 0.1, 0.3, 0.5, 1.0}) {
+        const std::vector<double> sys_pmf = pmf(n, ratio * p_base);
+        SystemRates sys;
+        sys.encounters = n;
+        SystemRates base;
+        base.encounters = n;
+        double coverage = 0.0;
+        for (std::size_t ks = 0; ks <= n; ++ks) {
+          if (sys_pmf[ks] < 1e-16) continue;
+          sys.nmacs = ks;
+          for (std::size_t kb = 0; kb <= n; ++kb) {
+            if (base_pmf[kb] < 1e-16) continue;
+            base.nmacs = kb;
+            const RiskRatioEstimate est = risk_ratio_wilson(sys, base);
+            if (est.lo <= ratio && ratio <= est.hi) coverage += sys_pmf[ks] * base_pmf[kb];
+          }
+        }
+        EXPECT_GE(coverage, 0.95) << "n = " << n << ", p_base = " << p_base
+                                  << ", ratio = " << ratio;
+      }
+    }
   }
-}
-
-TEST(FitnessWorkUnitTest, MultiEvaluatorMatchesToo) {
-  FitnessConfig config;
-  config.runs_per_encounter = 8;
-  const MultiEncounterEvaluator evaluator(config, {}, {});
-  encounter::MultiEncounterParams params;
-  params.intruders.resize(2);
-  params.intruders[0].r_cpa_m = 60.0;
-  params.intruders[1].theta_cpa_rad = 1.2;
-  params.intruders[1].t_cpa_s = 50.0;
-
-  const MultiEncounterEvaluation whole = evaluator.evaluate(params, 3);
-  auto a = evaluator.evaluate_runs(params, 3, 0, 3);
-  const auto b = evaluator.evaluate_runs(params, 3, 3, 8);
-  a.insert(a.end(), b.begin(), b.end());
-  const MultiEncounterEvaluation merged = evaluator.merge(a);
-  EXPECT_EQ(merged.own_nmac_count, whole.own_nmac_count);
-  EXPECT_EQ(merged.fitness, whole.fitness);
-  EXPECT_EQ(merged.mean_miss_m, whole.mean_miss_m);
 }
 
 }  // namespace

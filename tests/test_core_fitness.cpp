@@ -13,6 +13,8 @@
 namespace cav::core {
 namespace {
 
+using encounter::MultiEncounterParams;
+
 class FitnessTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -39,7 +41,7 @@ TEST_F(FitnessTest, FitnessBoundedByGainMax) {
   const EncounterEvaluator evaluator(fast_config(), acas(), acas());
   for (const auto& params :
        {encounter::head_on(), encounter::tail_approach(), encounter::crossing()}) {
-    const auto eval = evaluator.evaluate(params, 1);
+    const auto eval = evaluator.evaluate(MultiEncounterParams::from_pairwise(params), 1);
     EXPECT_GT(eval.fitness, 0.0);
     EXPECT_LE(eval.fitness, 10000.0);
   }
@@ -49,7 +51,8 @@ TEST_F(FitnessTest, CollisionRunsScoreMaximumGain) {
   // Unequipped head-on: every run is an NMAC, so d_k = 0 and the fitness
   // is exactly gain_max.
   const EncounterEvaluator evaluator(fast_config(), none(), none());
-  const auto eval = evaluator.evaluate(encounter::head_on(), 1);
+  const auto eval =
+      evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 1);
   EXPECT_EQ(eval.nmac_count, eval.runs);
   EXPECT_DOUBLE_EQ(eval.fitness, 10000.0);
   EXPECT_DOUBLE_EQ(eval.mean_miss_m, 0.0);
@@ -57,7 +60,8 @@ TEST_F(FitnessTest, CollisionRunsScoreMaximumGain) {
 
 TEST_F(FitnessTest, EquippedHeadOnScoresLow) {
   const EncounterEvaluator evaluator(fast_config(), acas(), acas());
-  const auto eval = evaluator.evaluate(encounter::head_on(), 1);
+  const auto eval =
+      evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 1);
   EXPECT_EQ(eval.nmac_count, 0U);
   EXPECT_LT(eval.fitness, 500.0);
   EXPECT_GT(eval.alert_fraction_own, 0.9);
@@ -65,8 +69,10 @@ TEST_F(FitnessTest, EquippedHeadOnScoresLow) {
 
 TEST_F(FitnessTest, TailApproachScoresHigh) {
   const EncounterEvaluator evaluator(fast_config(), acas(), acas());
-  const auto tail = evaluator.evaluate(encounter::tail_approach(), 1);
-  const auto head = evaluator.evaluate(encounter::head_on(), 1);
+  const auto tail =
+      evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::tail_approach()), 1);
+  const auto head =
+      evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 1);
   EXPECT_GT(tail.fitness, 10.0 * head.fitness)
       << "the challenging geometry must dominate the resolved one";
 }
@@ -79,7 +85,7 @@ TEST_F(FitnessTest, FitnessDecreasesWithMissDistance) {
     encounter::EncounterParams params = encounter::crossing();
     params.r_cpa_m = r;
     params.y_cpa_m = 45.0;  // keep vertical offset so small r isn't NMAC-saturated
-    const auto eval = evaluator.evaluate(params, 2);
+    const auto eval = evaluator.evaluate(MultiEncounterParams::from_pairwise(params), 2);
     EXPECT_LT(eval.fitness, previous) << "r = " << r;
     previous = eval.fitness;
   }
@@ -87,19 +93,21 @@ TEST_F(FitnessTest, FitnessDecreasesWithMissDistance) {
 
 TEST_F(FitnessTest, DeterministicPerStreamId) {
   const EncounterEvaluator evaluator(fast_config(), acas(), acas());
-  const auto a = evaluator.evaluate(encounter::head_on(), 42);
-  const auto b = evaluator.evaluate(encounter::head_on(), 42);
+  const auto head_on = MultiEncounterParams::from_pairwise(encounter::head_on());
+  const auto a = evaluator.evaluate(head_on, 42);
+  const auto b = evaluator.evaluate(head_on, 42);
   EXPECT_DOUBLE_EQ(a.fitness, b.fitness);
   EXPECT_EQ(a.nmac_count, b.nmac_count);
-  const auto c = evaluator.evaluate(encounter::head_on(), 43);
+  const auto c = evaluator.evaluate(head_on, 43);
   EXPECT_NE(a.fitness, c.fitness);
 }
 
 TEST_F(FitnessTest, RunOnceRecordsTrajectoryOnDemand) {
   const EncounterEvaluator evaluator(fast_config(), acas(), acas());
-  const auto with = evaluator.run_once(encounter::head_on(), 1, 0, true);
+  const auto head_on = MultiEncounterParams::from_pairwise(encounter::head_on());
+  const auto with = evaluator.run_once(head_on, 1, 0, true);
   EXPECT_FALSE(with.trajectory.empty());
-  const auto without = evaluator.run_once(encounter::head_on(), 1, 0, false);
+  const auto without = evaluator.run_once(head_on, 1, 0, false);
   EXPECT_TRUE(without.trajectory.empty());
   // Same seed derivation: identical outcome either way.
   EXPECT_DOUBLE_EQ(with.proximity.min_distance_m, without.proximity.min_distance_m);
@@ -111,7 +119,7 @@ TEST_F(FitnessTest, SimTimeCoversEncounter) {
   const EncounterEvaluator evaluator(fast_config(5), none(), none());
   encounter::EncounterParams params = encounter::head_on();
   params.t_cpa_s = 55.0;
-  const auto eval = evaluator.evaluate(params, 3);
+  const auto eval = evaluator.evaluate(MultiEncounterParams::from_pairwise(params), 3);
   // Nearly every run collides; disturbance may let the odd one escape, but
   // a truncated simulation window would miss ALL of them.
   EXPECT_GE(eval.nmac_count + 1, eval.runs) << "CPA at 55 s must be inside the simulated window";
@@ -122,7 +130,7 @@ TEST_F(FitnessTest, MeanMissTracksGeometry) {
   encounter::EncounterParams params = encounter::crossing();
   params.r_cpa_m = 120.0;
   params.y_cpa_m = 50.0;
-  const auto eval = evaluator.evaluate(params, 4);
+  const auto eval = evaluator.evaluate(MultiEncounterParams::from_pairwise(params), 4);
   // The analytic straight-line CPA for this geometry (the encoded offset is
   // not perpendicular to the relative velocity, so it is below
   // hypot(120, 50) = 130); disturbance adds scatter around it.
@@ -132,6 +140,38 @@ TEST_F(FitnessTest, MeanMissTracksGeometry) {
   const double analytic_miss = (d0 + dv * (-d0.dot(dv) / dv.norm_sq())).norm();
   EXPECT_NEAR(eval.mean_miss_m, analytic_miss, 25.0);
   EXPECT_LT(eval.mean_miss_m, 131.0);
+}
+
+TEST_F(FitnessTest, PairwiseGoldensOnCoarseTable) {
+  // Bit-exact outcomes of the four named encounters (12 runs, fixed stream
+  // ids, ACAS Xu on the coarse table), recorded when pairwise encounters
+  // still ran on a dedicated two-aircraft evaluator.  They pin that the
+  // K = 1 case of the N-aircraft evaluator reproduces it exactly.
+  struct Golden {
+    encounter::EncounterParams params;
+    double fitness;
+    double mean_miss_m;
+    double min_miss_m;
+    std::size_t nmac_count;
+  };
+  const Golden goldens[] = {
+      {encounter::head_on(), 119.41780749173664, 83.275569362578054, 74.636124212801974, 0U},
+      {encounter::tail_approach(), 10000, 0, 0, 12U},
+      {encounter::crossing(), 118.21319543207967, 84.267132059643515, 72.997118619262849, 0U},
+      {encounter::descending_intruder(), 128.44028998269815, 77.747881442143353,
+       66.372821017461646, 0U},
+  };
+  const EncounterEvaluator evaluator(fast_config(12), acas(), acas());
+  std::uint64_t stream_id = 100;
+  for (const Golden& g : goldens) {
+    const auto eval =
+        evaluator.evaluate(MultiEncounterParams::from_pairwise(g.params), stream_id++);
+    EXPECT_EQ(eval.runs, 12U);
+    EXPECT_EQ(eval.fitness, g.fitness) << "stream " << stream_id - 1;
+    EXPECT_EQ(eval.mean_miss_m, g.mean_miss_m) << "stream " << stream_id - 1;
+    EXPECT_EQ(eval.min_miss_m, g.min_miss_m) << "stream " << stream_id - 1;
+    EXPECT_EQ(eval.nmac_count, g.nmac_count) << "stream " << stream_id - 1;
+  }
 }
 
 TEST_F(FitnessTest, RejectsDegenerateConfig) {

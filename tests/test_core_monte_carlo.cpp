@@ -70,7 +70,7 @@ TEST_F(MonteCarloTest, AcasReducesRiskSubstantially) {
                                    sim::AcasXuCas::factory(*table_),
                                    sim::AcasXuCas::factory(*table_), pool_);
   EXPECT_LT(acas.nmac_rate(), unequipped.nmac_rate());
-  const double rr = risk_ratio(acas, unequipped);
+  const double rr = risk_ratio_wilson(acas, unequipped).ratio;
   EXPECT_LT(rr, 0.5) << "equipped risk ratio must be well below 1";
   EXPECT_GT(acas.alert_rate(), 0.0);
 }
@@ -131,10 +131,10 @@ TEST_F(MonteCarloTest, RiskRatioEdgeCases) {
   some.encounters = 100;
   some.nmacs = 10;
   // A zero-NMAC baseline used to yield a silent quiet-NaN; the ratio is
-  // now the documented sentinel (and risk_ratio_wilson the uncertainty-
-  // aware variant — tests/test_core_campaign.cpp).
-  EXPECT_EQ(risk_ratio(some, zero), kRiskRatioUndefined);
-  EXPECT_NEAR(risk_ratio(zero, some), 0.0, 1e-12);
+  // now the documented sentinel (the interval side of risk_ratio_wilson is
+  // tested in tests/test_core_campaign.cpp).
+  EXPECT_EQ(risk_ratio_wilson(some, zero).ratio, kRiskRatioUndefined);
+  EXPECT_NEAR(risk_ratio_wilson(zero, some).ratio, 0.0, 1e-12);
 }
 
 TEST_F(MonteCarloTest, ZeroEncountersIsRejected) {

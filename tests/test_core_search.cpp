@@ -49,7 +49,7 @@ ThreadPool* SearchTest::pool_ = nullptr;
 
 TEST(GenomeSpecMapping, BoundsMatchRanges) {
   const encounter::ParamRanges ranges;
-  const ga::GenomeSpec spec = make_genome_spec(ranges);
+  const ga::GenomeSpec spec = make_genome_spec(ranges, 1);
   ASSERT_EQ(spec.size(), encounter::kNumParams);
   for (std::size_t i = 0; i < spec.size(); ++i) {
     EXPECT_DOUBLE_EQ(spec.bound(i).lo, ranges.lo[i]);
@@ -115,6 +115,37 @@ TEST_F(SearchTest, DeterministicPerSeed) {
   EXPECT_EQ(a.ga.best.genome, b.ga.best.genome);
 }
 
+TEST_F(SearchTest, PairwiseSearchGolden) {
+  // A 32-evaluation pairwise search (12 x 3 generations, 2 elites, 6 runs
+  // per encounter), recorded bit-exactly when pairwise encounters still
+  // ran on a dedicated two-aircraft evaluator: the search on the K = 1
+  // case of the N-aircraft evaluator must reproduce it.
+  ScenarioSearchConfig config;
+  config.ga.population_size = 12;
+  config.ga.generations = 3;
+  config.ga.seed = 5;
+  config.fitness.runs_per_encounter = 6;
+  const std::vector<double> fitness_by_evaluation = {
+      116.89201199922672, 126.5379191277716,  10000,              133.04158305084832,
+      80.790389655673252, 123.48913987756094, 10000,              10000,
+      116.13603938588682, 140.68163220531298, 122.09343400788339, 116.6356584083038,
+      108.13341832098148, 119.1477803345736,  108.75323902341428, 3430.5084140364456,
+      115.52797367532908, 121.09739797784914, 108.83680725436479, 10000,
+      6686.6323710579572, 125.6731596350816,  124.70851427058237, 112.83693211107986,
+      87.260067355878547, 134.79034666270107, 6691.8848610486311, 10000,
+      126.65376932368615, 105.4103238826945,  136.80680081182325, 121.45460447965623,
+  };
+  const ga::Genome best_genome = {
+      28.027815921934465, 1.6107549912384931,  51.054288985010402,
+      41.43141315541164,  2.0591172618290177,  50.314981130932196,
+      23.916739607103473, 0.39991061377061099, -2.4318858570987292,
+  };
+  const auto result = search_challenging_scenarios(config, acas(), acas(), pool_);
+  EXPECT_EQ(result.ga.fitness_by_evaluation, fitness_by_evaluation);
+  EXPECT_EQ(result.ga.best.genome, best_genome);
+  EXPECT_EQ(result.ga.best.fitness, 10000.0);
+}
+
 TEST_F(SearchTest, RandomSearchUsesSameBudget) {
   const auto config = small_search();
   const auto result = random_search_scenarios(config, acas(), acas(), pool_);
@@ -131,8 +162,8 @@ TEST_F(SearchTest, GenerationCallbackStreamsProgress) {
 
 TEST_F(SearchTest, AllEliteConfigIsRejectedUpFront) {
   // population_size == elites makes the per-generation evaluation count
-  // zero (ga_budget lies, generation_of divides by zero); both search
-  // entry points must reject it as a contract violation, not crash.
+  // zero (ga_budget lies, generation_of divides by zero); every search
+  // entry point must reject it as a contract violation, not crash.
   auto config = small_search();
   config.ga.elites = config.ga.population_size;
   EXPECT_THROW(search_challenging_scenarios(config, acas(), acas(), pool_), ContractViolation);
@@ -140,13 +171,13 @@ TEST_F(SearchTest, AllEliteConfigIsRejectedUpFront) {
 
   MultiScenarioSearchConfig multi;
   multi.ga = config.ga;
-  EXPECT_THROW(search_challenging_multi_scenarios(multi, acas(), acas(), pool_),
+  EXPECT_THROW(search_degraded_multi_scenarios(multi, DegradedGeneRanges{}, acas(), acas(), pool_),
                ContractViolation);
 }
 
 TEST(MultiGenomeSpecMapping, TwoOwnGenesPlusSevenPerIntruder) {
   const encounter::ParamRanges ranges;
-  const ga::GenomeSpec spec = make_multi_genome_spec(ranges, 3);
+  const ga::GenomeSpec spec = make_genome_spec(ranges, 3);
   ASSERT_EQ(spec.size(), encounter::kOwnParams + 3 * encounter::kIntruderParams);
   // Own genes use the pairwise indices 0..1, every intruder block 2..8.
   EXPECT_DOUBLE_EQ(spec.bound(0).lo, ranges.lo[0]);
@@ -161,43 +192,6 @@ TEST(MultiGenomeSpecMapping, TwoOwnGenesPlusSevenPerIntruder) {
   }
 }
 
-TEST_F(SearchTest, MultiIntruderSearchFindsChallengingTraffic) {
-  MultiScenarioSearchConfig config;
-  config.ga.population_size = 10;
-  config.ga.generations = 2;
-  config.ga.seed = 7;
-  config.intruders = 2;
-  config.fitness.runs_per_encounter = 4;
-  config.keep_top = 3;
-
-  const auto result = search_challenging_multi_scenarios(config, acas(), acas(), pool_);
-  EXPECT_GT(result.best_fitness(), 0.0);
-  ASSERT_FALSE(result.top.empty());
-  ASSERT_LE(result.top.size(), config.keep_top);
-  for (std::size_t i = 1; i < result.top.size(); ++i) {
-    EXPECT_GE(result.top[i - 1].fitness, result.top[i].fitness);
-  }
-  for (const auto& found : result.top) {
-    EXPECT_EQ(found.params.num_intruders(), 2U);
-    EXPECT_EQ(found.detail.runs, 4U);
-    EXPECT_GE(found.detail.fitness, 0.0);
-  }
-}
-
-TEST_F(SearchTest, MultiIntruderSearchIsDeterministicPerSeed) {
-  MultiScenarioSearchConfig config;
-  config.ga.population_size = 8;
-  config.ga.generations = 2;
-  config.ga.seed = 11;
-  config.intruders = 3;
-  config.fitness.runs_per_encounter = 2;
-
-  const auto a = search_challenging_multi_scenarios(config, acas(), acas(), pool_);
-  const auto b = search_challenging_multi_scenarios(config, acas(), acas());
-  EXPECT_EQ(a.ga.fitness_by_evaluation, b.ga.fitness_by_evaluation);
-  EXPECT_EQ(a.ga.best.genome, b.ga.best.genome);
-}
-
 TEST(DegradedGenomeSpec, AppendsFaultGenesAfterGeometry) {
   const encounter::ParamRanges ranges;
   const DegradedGeneRanges fault_ranges;
@@ -206,7 +200,7 @@ TEST(DegradedGenomeSpec, AppendsFaultGenesAfterGeometry) {
       encounter::kOwnParams + 2 * encounter::kIntruderParams;
   ASSERT_EQ(spec.size(), geometry + DegradedConditions::kNumGenes);
   // Geometry genes match the plain multi spec.
-  const ga::GenomeSpec multi = make_multi_genome_spec(ranges, 2);
+  const ga::GenomeSpec multi = make_genome_spec(ranges, 2);
   for (std::size_t i = 0; i < geometry; ++i) {
     EXPECT_DOUBLE_EQ(spec.bound(i).lo, multi.bound(i).lo) << i;
     EXPECT_DOUBLE_EQ(spec.bound(i).hi, multi.bound(i).hi) << i;

@@ -17,6 +17,8 @@
 namespace cav {
 namespace {
 
+using encounter::MultiEncounterParams;
+
 class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -47,8 +49,10 @@ ThreadPool* IntegrationTest::pool_ = nullptr;
 TEST_F(IntegrationTest, PaperHeadlineContrast) {
   // §VII: tail approach ~80-90/100 collisions; head-on < 5/100.
   const core::EncounterEvaluator evaluator(fitness_config(100), acas(), acas());
-  const auto tail = evaluator.evaluate(encounter::tail_approach(), 1);
-  const auto head = evaluator.evaluate(encounter::head_on(), 2);
+  const auto tail_approach = MultiEncounterParams::from_pairwise(encounter::tail_approach());
+  const auto head_on = MultiEncounterParams::from_pairwise(encounter::head_on());
+  const auto tail = evaluator.evaluate(tail_approach, 1);
+  const auto head = evaluator.evaluate(head_on, 2);
   EXPECT_GE(tail.nmac_count, 70U);
   EXPECT_LE(head.nmac_count, 5U);
 }
@@ -56,9 +60,11 @@ TEST_F(IntegrationTest, PaperHeadlineContrast) {
 TEST_F(IntegrationTest, TailApproachStaysLargelyUnalerted) {
   // The causal mechanism: the tau-based logic stays silent.
   const core::EncounterEvaluator evaluator(fitness_config(), acas(), acas());
-  const auto tail = evaluator.evaluate(encounter::tail_approach(), 1);
+  const auto tail =
+      evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::tail_approach()), 1);
   EXPECT_LT(tail.alert_fraction_own, 0.3);
-  const auto head = evaluator.evaluate(encounter::head_on(), 2);
+  const auto head =
+      evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 2);
   EXPECT_GT(head.alert_fraction_own, 0.9);
 }
 
@@ -87,8 +93,9 @@ TEST_F(IntegrationTest, CoordinationAblation) {
 
   const core::EncounterEvaluator coordinated(with_coord, acas(), acas());
   const core::EncounterEvaluator uncoordinated(without_coord, acas(), acas());
-  const auto with_c = coordinated.evaluate(encounter::head_on(), 3);
-  const auto without_c = uncoordinated.evaluate(encounter::head_on(), 3);
+  const auto head_on = MultiEncounterParams::from_pairwise(encounter::head_on());
+  const auto with_c = coordinated.evaluate(head_on, 3);
+  const auto without_c = uncoordinated.evaluate(head_on, 3);
   EXPECT_LE(with_c.nmac_count, without_c.nmac_count + 2)
       << "coordination must not be harmful on the canonical geometry";
 }
@@ -103,8 +110,9 @@ TEST_F(IntegrationTest, SensorNoiseDegradesTailCaseFurther) {
 
   const core::EncounterEvaluator clean_eval(clean, acas(), acas());
   const core::EncounterEvaluator noisy_eval(noisy, acas(), acas());
-  const auto tail_clean = clean_eval.evaluate(encounter::tail_approach(), 4);
-  const auto tail_noisy = noisy_eval.evaluate(encounter::tail_approach(), 4);
+  const auto tail_approach = MultiEncounterParams::from_pairwise(encounter::tail_approach());
+  const auto tail_clean = clean_eval.evaluate(tail_approach, 4);
+  const auto tail_noisy = noisy_eval.evaluate(tail_approach, 4);
   EXPECT_GE(tail_noisy.nmac_count + 5, tail_clean.nmac_count);
 }
 
@@ -164,8 +172,9 @@ TEST_F(IntegrationTest, MixedEquipage) {
   // relative to both unequipped (single-sided resolution).
   const core::EncounterEvaluator one_sided(fitness_config(100), acas(), {});
   const core::EncounterEvaluator unequipped(fitness_config(100), {}, {});
-  const auto one = one_sided.evaluate(encounter::head_on(), 5);
-  const auto none = unequipped.evaluate(encounter::head_on(), 5);
+  const auto head_on = MultiEncounterParams::from_pairwise(encounter::head_on());
+  const auto one = one_sided.evaluate(head_on, 5);
+  const auto none = unequipped.evaluate(head_on, 5);
   EXPECT_LT(one.nmac_count, none.nmac_count);
   EXPECT_GE(none.nmac_count, 95U) << "unequipped head-on must almost always collide";
 }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 #include "mdp/policy_iteration.h"
 #include "mdp/value_iteration.h"
@@ -38,6 +40,20 @@ TEST(CompiledMdp, MirrorsModelShapeAndTerminals) {
       }
     }
   }
+}
+
+// A compiled model is a plain value: it can be returned from a factory or
+// stored in a container without a shared_ptr around it.
+static_assert(std::is_move_constructible_v<CompiledMdp>);
+
+TEST(CompiledMdp, MovedModelSolvesIdentically) {
+  const auto model = toy_model();
+  CompiledMdp source(model);
+  const CompiledMdp moved(std::move(source));
+  const auto expected = solve_value_iteration(CompiledMdp(model));
+  const auto result = solve_value_iteration(moved);
+  EXPECT_EQ(result.values, expected.values);
+  EXPECT_EQ(result.policy, expected.policy);
 }
 
 TEST(CompiledMdp, CsrRowsAreProperDistributions) {

@@ -120,36 +120,6 @@ TEST_P(RandomMdpTest, JacobiAndGaussSeidelAgree) {
   }
 }
 
-TEST_P(RandomMdpTest, PrioritizedSweepingMatchesJacobi) {
-  // The random-MDP fuzz loop for the prioritized solver: residual-ordered
-  // asynchronous backups must land on the same fixed point as full sweeps.
-  const auto mdp = make_mdp();
-  const CompiledMdp compiled(mdp);
-  const auto jacobi = solve_value_iteration(compiled);
-  const auto prioritized = solve_prioritized(compiled);
-  ASSERT_TRUE(jacobi.converged);
-  ASSERT_TRUE(prioritized.converged);
-  for (std::size_t s = 0; s < mdp.num_states(); ++s) {
-    ASSERT_NEAR(prioritized.values[s], jacobi.values[s], 1e-9) << "state " << s;
-  }
-  ASSERT_LE(prioritized.residual, 1e-9);
-}
-
-TEST_P(RandomMdpTest, Float32TracksDoubleWithinFloatRounding) {
-  const auto mdp = make_mdp();
-  const CompiledMdp compiled(mdp);
-  const auto ref = solve_value_iteration(compiled);
-  const auto f32 = solve_value_iteration_f32(compiled);
-  ASSERT_TRUE(ref.converged);
-  ASSERT_TRUE(f32.converged);
-  double scale = 1.0;
-  for (const double v : ref.values) scale = std::max(scale, std::abs(v));
-  for (std::size_t s = 0; s < mdp.num_states(); ++s) {
-    ASSERT_NEAR(static_cast<double>(f32.values[s]), ref.values[s], 1e-4 * scale)
-        << "state " << s;
-  }
-}
-
 TEST_P(RandomMdpTest, PolicyIterationMatchesValueIteration) {
   const auto mdp = make_mdp();
   const auto vi = solve_value_iteration(mdp);

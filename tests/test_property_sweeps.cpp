@@ -22,6 +22,8 @@
 namespace cav {
 namespace {
 
+using encounter::MultiEncounterParams;
+
 class PropertySweepTest : public ::testing::TestWithParam<int> {
  protected:
   static void SetUpTestSuite() {
@@ -144,7 +146,8 @@ TEST_P(PropertySweepTest, SimulationInvariants) {
 
 TEST_P(PropertySweepTest, FitnessEvaluatorDeterministicUnderThreading) {
   RngStream rng(static_cast<std::uint64_t>(GetParam()) + 3000);
-  const auto params = encounter::ParamRanges{}.sample_uniform(rng);
+  const auto params =
+      MultiEncounterParams::from_pairwise(encounter::ParamRanges{}.sample_uniform(rng));
 
   core::FitnessConfig config;
   config.runs_per_encounter = 12;
