@@ -6,14 +6,12 @@
 #include <cstdio>
 #include <memory>
 
-#include "acasx/belief_logic.h"
 #include "bench_common.h"
 #include "core/fitness.h"
 #include "core/logbook.h"
 #include "core/scenario_search.h"
 #include "encounter/encounter.h"
 #include "sim/acasx_cas.h"
-#include "sim/belief_cas.h"
 #include "util/csv.h"
 
 namespace {
@@ -174,9 +172,10 @@ int main(int argc, char** argv) {
             evaluate_with(config, standard, encounter::tail_approach()));
       }
       for (const double h_sigma : {80.0, 164.0}) {
-        acasx::BeliefConfig belief;
-        belief.h_sigma_ft = h_sigma;
-        const auto factory = sim::BeliefAcasXuCas::factory(standard, belief);
+        acasx::OnlineConfig online;
+        online.belief.h_sigma_ft = h_sigma;
+        online.belief.dh_int_sigma_fps = 1.6;
+        const auto factory = sim::AcasXuCas::factory(standard, online);
         const core::EncounterEvaluator evaluator(config, factory, factory);
         char label[64];
         std::snprintf(label, sizeof label, "belief %3.0fft (vpos %.0fm)", h_sigma, vpos_sigma);

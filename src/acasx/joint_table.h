@@ -243,8 +243,9 @@ class JointLogicTable {
 };
 
 /// Online joint query from surveillance tracks — the joint analogue of
-/// AcasXuLogic::peek_costs, shared by every table-backed CAS adapter
-/// (sim/acasx_cas.h and friends).  Estimates each threat's horizontal tau
+/// AcasXuLogic::peek_costs, used by the table-backed CAS adapter
+/// (sim/acasx_cas.h).  It answers at the point estimate whatever
+/// `online.belief` says.  Estimates each threat's horizontal tau
 /// under `online`, orders the pair deterministically by (tau, then
 /// relative state) so the result is invariant under swapping `a` and `b`,
 /// and queries the table with the primary at full fidelity.  `*active` is

@@ -7,10 +7,30 @@
 #include "util/units.h"
 
 namespace cav::acasx {
+namespace {
+
+/// 3-point Gauss-Hermite-style quadrature matching mean and variance:
+/// points {mu - sqrt(3) s, mu, mu + sqrt(3) s}, weights {1/6, 2/3, 1/6}.
+/// A zero sigma leaves the mean alone with weight 1 (the zero-weight
+/// points are skipped).
+struct QuadPoint {
+  double value;
+  double weight;
+};
+
+std::array<QuadPoint, 3> quadrature(double mean, double sigma) {
+  if (sigma <= 0.0) return {{{mean, 1.0}, {mean, 0.0}, {mean, 0.0}}};
+  const double spread = std::sqrt(3.0) * sigma;
+  return {{{mean - spread, 1.0 / 6.0}, {mean, 2.0 / 3.0}, {mean + spread, 1.0 / 6.0}}};
+}
+
+}  // namespace
 
 AcasXuLogic::AcasXuLogic(std::shared_ptr<const LogicTable> table, OnlineConfig config)
     : table_(std::move(table)), config_(config) {
   expect(table_ != nullptr, "logic table provided");
+  expect(config_.belief.h_sigma_ft >= 0.0, "h_sigma_ft >= 0");
+  expect(config_.belief.dh_int_sigma_fps >= 0.0, "dh_int_sigma_fps >= 0");
   last_costs_.fill(0.0);
 }
 
@@ -77,37 +97,39 @@ Advisory select_advisory(std::array<double, kNumAdvisories> costs, Sense forbidd
   return Advisory::kCoc;  // unreachable: preference covers all advisories
 }
 
-void AcasXuLogic::peek_costs(const AircraftTrack& own, const AircraftTrack& intruder,
-                             bool* active, std::span<double, kNumAdvisories> out) const {
+TauEstimate AcasXuLogic::peek_costs(const AircraftTrack& own, const AircraftTrack& intruder,
+                                    bool* active, std::span<double, kNumAdvisories> out) const {
+  std::fill(out.begin(), out.end(), 0.0);
   const TauEstimate tau = estimate_tau(own, intruder, config_);
-  if (!tau.converging || tau.tau_s > config_.tau_alert_max_s) {
-    *active = false;
-    std::fill(out.begin(), out.end(), 0.0);
-    return;
-  }
-  *active = true;
+  *active = tau.converging && tau.tau_s <= config_.tau_alert_max_s;
+  if (!*active) return tau;
+
   const double h_ft = units::m_to_ft(intruder.position_m.z - own.position_m.z);
-  const double dh_own_fps = units::m_to_ft(own.velocity_mps.z);
+  const double dh_own_fps = units::m_to_ft(own.velocity_mps.z);  // own state is known well
   const double dh_int_fps = units::m_to_ft(intruder.velocity_mps.z);
-  table_->action_costs(tau.tau_s, h_ft, dh_own_fps, dh_int_fps, ra_, out);
+
+  // Belief average, h outer and dh_int inner.  The point estimate is the
+  // one-point case: out = 0.0 + 1.0 * c, which is c exactly.
+  const auto h_points = quadrature(h_ft, config_.belief.h_sigma_ft);
+  const auto dhi_points = quadrature(dh_int_fps, config_.belief.dh_int_sigma_fps);
+  std::array<double, kNumAdvisories> costs{};
+  for (const QuadPoint& hp : h_points) {
+    if (hp.weight == 0.0) continue;
+    for (const QuadPoint& vp : dhi_points) {
+      if (vp.weight == 0.0) continue;
+      table_->action_costs(tau.tau_s, hp.value, dh_own_fps, vp.value, ra_, costs);
+      const double w = hp.weight * vp.weight;
+      for (std::size_t a = 0; a < kNumAdvisories; ++a) out[a] += w * costs[a];
+    }
+  }
+  return tau;
 }
 
 Advisory AcasXuLogic::decide(const AircraftTrack& own, const AircraftTrack& intruder,
                              Sense forbidden_sense) {
-  last_tau_ = estimate_tau(own, intruder, config_);
-
-  if (!last_tau_.converging || last_tau_.tau_s > config_.tau_alert_max_s) {
-    last_costs_.fill(0.0);
-    ra_ = Advisory::kCoc;
-    return ra_;
-  }
-
-  const double h_ft = units::m_to_ft(intruder.position_m.z - own.position_m.z);
-  const double dh_own_fps = units::m_to_ft(own.velocity_mps.z);
-  const double dh_int_fps = units::m_to_ft(intruder.velocity_mps.z);
-
-  last_costs_ = table_->action_costs(last_tau_.tau_s, h_ft, dh_own_fps, dh_int_fps, ra_);
-  ra_ = select_advisory(last_costs_, forbidden_sense, ra_);
+  bool active = false;
+  last_tau_ = peek_costs(own, intruder, &active, last_costs_);
+  ra_ = active ? select_advisory(last_costs_, forbidden_sense, ra_) : Advisory::kCoc;
   return ra_;
 }
 

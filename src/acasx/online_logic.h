@@ -8,6 +8,25 @@
 // logic "still thinks the collision risk is low and does not emit collision
 // avoidance commands" (§VII) — and a small disturbance can then collide the
 // aircraft from close proximity.
+//
+// The belief model answers the paper's §IV "Model structure" question
+// ("should another model (e.g. a POMDP) be used?") as configuration of the
+// same logic.  By default the noisy surveillance snapshot is the state
+// (the point estimate).  With non-zero BeliefConfig sigmas the logic is the
+// standard QMDP-style partial answer: an independent Gaussian belief over
+// the noisiest state dimensions (relative altitude and intruder vertical
+// rate), and the advisory minimizing the EXPECTED cost under that belief,
+//
+//     a* = argmin_a  E_{x ~ belief} [ Q(x, a) ]
+//
+// approximated by 3-point sigma quadrature per dimension (exact for the
+// mean and variance of the belief).  Zero sigmas collapse the quadrature to
+// the one point at the mean, so both are one cost path.  This is
+// deliberately not a full POMDP solve (the offline model is unchanged); it
+// is the cheapest structurally different online model the validation
+// framework can compare against.  With degraded surveillance it stops
+// committing to a sense the noise cannot support; oversized sigmas wash out
+// the alert gradient (E9(g) quantifies both).
 #pragma once
 
 #include <array>
@@ -35,6 +54,16 @@ struct TauEstimate {
   bool converging = false;   ///< false -> no horizontal conflict predicted
 };
 
+/// Measurement-uncertainty model for the belief average.  The values are
+/// configuration (known sensor characteristics), not online estimates;
+/// zero sigmas (the default) select the point estimate.
+struct BeliefConfig {
+  double h_sigma_ft = 0.0;        ///< relative-altitude uncertainty
+  double dh_int_sigma_fps = 0.0;  ///< intruder vertical-rate uncertainty
+
+  bool point_estimate() const { return h_sigma_ft == 0.0 && dh_int_sigma_fps == 0.0; }
+};
+
 struct OnlineConfig {
   /// Horizontal range treated as "separation lost" (tau = 0 inside).
   double dmod_ft = 500.0;
@@ -43,12 +72,14 @@ struct OnlineConfig {
   double min_closure_fps = 1.0;
   /// No advisory is considered beyond this tau (table horizon).
   double tau_alert_max_s = 40.0;
+  /// Belief over the pairwise state the costs are averaged under.
+  BeliefConfig belief;
 };
 
 /// Pick the cost-minimizing advisory subject to a coordination constraint,
 /// breaking ties in a stable preference order (keep the current advisory,
 /// then COC, then weaker before stronger) so equal-cost regions do not
-/// chatter.  Shared by the point-estimate and belief-aware logics.
+/// chatter.  Shared by AcasXuLogic::decide and the multi-threat resolver.
 Advisory select_advisory(std::array<double, kNumAdvisories> costs, Sense forbidden_sense,
                          Advisory current);
 
@@ -58,7 +89,9 @@ class AcasXuLogic {
   /// parallel simulation in a fitness evaluation) reads the same table.
   explicit AcasXuLogic(std::shared_ptr<const LogicTable> table, OnlineConfig config = {});
 
-  /// Select the advisory for this surveillance cycle.  `forbidden_sense` is
+  /// Select the advisory for this surveillance cycle: peek_costs at the
+  /// current advisory memory, then select_advisory (COC when the threat is
+  /// outside the alerting envelope).  `forbidden_sense` is
   /// the coordination constraint received from the intruder ("do not choose
   /// maneuvers in the same direction"); kNone means unconstrained.
   Advisory decide(const AircraftTrack& own, const AircraftTrack& intruder,
@@ -73,10 +106,12 @@ class AcasXuLogic {
   /// vectors are summed before one advisory is committed.  `active` is
   /// false when the threat is outside the alerting envelope (not
   /// converging, or tau beyond the table horizon); the costs are then all
-  /// zero and carry no preference.  The span overload writes into caller
-  /// storage (the allocation-free serving path); the array form wraps it.
-  void peek_costs(const AircraftTrack& own, const AircraftTrack& intruder, bool* active,
-                  std::span<double, kNumAdvisories> out) const;
+  /// zero and carry no preference.  Under a belief the costs are the
+  /// belief-weighted average.  The span overload writes into caller
+  /// storage (the allocation-free serving path) and returns the tau
+  /// estimate it gated on; the array form wraps it.
+  TauEstimate peek_costs(const AircraftTrack& own, const AircraftTrack& intruder, bool* active,
+                         std::span<double, kNumAdvisories> out) const;
   std::array<double, kNumAdvisories> peek_costs(const AircraftTrack& own,
                                                 const AircraftTrack& intruder,
                                                 bool* active) const {
@@ -93,7 +128,8 @@ class AcasXuLogic {
   /// Forget advisory memory (new encounter).
   void reset() { ra_ = Advisory::kCoc; }
 
-  /// Diagnostics from the last decide() call.
+  /// Diagnostics from the last decide() call (last_costs: the costs it
+  /// selected from, belief-averaged under a belief).
   const TauEstimate& last_tau() const { return last_tau_; }
   const std::array<double, kNumAdvisories>& last_costs() const { return last_costs_; }
 

@@ -12,7 +12,7 @@
 // CAS against *every* tracked threat inside a tau/range gate and fuses the
 // per-threat results:
 //
-//   * Cost-capable systems (the table-backed ACAS logics) expose per-threat
+//   * Cost-capable systems (the table-backed ACAS Xu CAS) expose per-threat
 //     Q-costs over the shared advisory set; the resolver sums them per
 //     candidate advisory — each threat "votes" with its expected cost — and
 //     commits the cost-minimizing advisory, with per-link coordination

@@ -1,7 +1,6 @@
 #include "sim/served_cas.h"
 
 #include "sim/acasx_cas.h"
-#include "sim/belief_cas.h"
 #include "util/expect.h"
 
 namespace cav::sim {
@@ -13,15 +12,6 @@ CasFactory served_acasx_factory(const serving::PolicyServer& server,
          "server exposes float tables (not quantized serving mode)");
   return AcasXuCas::factory(server.pairwise_table(), online, perf, tracker,
                             server.joint_table());
-}
-
-CasFactory served_belief_factory(const serving::PolicyServer& server,
-                                 acasx::BeliefConfig belief, acasx::OnlineConfig online,
-                                 UavPerformance perf, TrackerConfig tracker) {
-  expect(server.pairwise_table() != nullptr,
-         "server exposes float tables (not quantized serving mode)");
-  return BeliefAcasXuCas::factory(server.pairwise_table(), belief, online, perf, tracker,
-                                  server.joint_table());
 }
 
 }  // namespace cav::sim

@@ -1,8 +1,8 @@
-// Belief-aware (QMDP-style) logic tests: degenerate equivalence with the
-// point-estimate logic, convexity of the averaged costs, uncertainty-
-// driven behaviour differences, and closed-loop value under degraded
-// surveillance.
-#include "acasx/belief_logic.h"
+// Belief-aware (QMDP-style) configuration of the online logic: zero
+// sigmas give exactly the table costs at the track state, the averaged
+// costs are convex combinations, uncertainty changes behaviour, and the
+// closed-loop value under degraded surveillance.
+#include "acasx/online_logic.h"
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,8 @@
 #include "core/fitness.h"
 #include "encounter/encounter.h"
 #include "sim/acasx_cas.h"
-#include "sim/belief_cas.h"
 #include "util/expect.h"
+#include "util/units.h"
 
 namespace cav::acasx {
 namespace {
@@ -23,6 +23,15 @@ using encounter::MultiEncounterParams;
 
 AircraftTrack track(double x, double y, double z, double vx, double vy, double vz) {
   return {{x, y, z}, {vx, vy, vz}};
+}
+
+/// An online configuration with the given belief sigmas; the defaults are
+/// the 25 ft / 1.6 fps these tests have always run the belief logic at.
+OnlineConfig belief(double h_sigma_ft = 25.0, double dh_int_sigma_fps = 1.6) {
+  OnlineConfig online;
+  online.belief.h_sigma_ft = h_sigma_ft;
+  online.belief.dh_int_sigma_fps = dh_int_sigma_fps;
+  return online;
 }
 
 class BeliefTest : public ::testing::Test {
@@ -40,43 +49,50 @@ class BeliefTest : public ::testing::Test {
 
 std::shared_ptr<const LogicTable>* BeliefTest::table_ = nullptr;
 
-TEST_F(BeliefTest, ZeroSigmaReducesToPointEstimateLogic) {
-  BeliefConfig degenerate;
-  degenerate.h_sigma_ft = 0.0;
-  degenerate.dh_int_sigma_fps = 0.0;
-  BeliefAwareLogic belief(*table_, degenerate);
-  AcasXuLogic point(*table_);
-
-  // Sweep a family of geometries and demand identical advisories and costs.
+TEST_F(BeliefTest, ZeroSigmaCostsAreExactlyTheTableCosts) {
+  // The default (zero-sigma) configuration is the point estimate: over a
+  // family of geometries, decide() and peek_costs() must return exactly
+  // LogicTable::action_costs at the state derived from the tracks, at the
+  // advisory memory the logic held going in.
+  AcasXuLogic logic(*table_);
+  ASSERT_TRUE(logic.config().belief.point_estimate());
+  int alerting = 0;
   for (double x = 2500.0; x > 200.0; x -= 150.0) {
     for (double dz : {-80.0, -20.0, 0.0, 20.0, 80.0}) {
-      const auto own = track(0, 0, 1000, 40, 0, 0);
+      const auto own = track(0, 0, 1000, 40, 0, 0.5);
       const auto intr = track(x, 0, 1000 + dz, -40, 0, dz > 0 ? -2.0 : 2.0);
-      const Advisory a = point.decide(own, intr);
-      const Advisory b = belief.decide(own, intr);
-      ASSERT_EQ(a, b) << "x=" << x << " dz=" << dz;
-      for (std::size_t i = 0; i < kNumAdvisories; ++i) {
-        ASSERT_NEAR(point.last_costs()[i], belief.last_costs()[i], 1e-9);
+      const TauEstimate tau = AcasXuLogic::estimate_tau(own, intr, logic.config());
+      const Advisory memory = logic.current_advisory();
+      bool active = false;
+      const auto peeked = logic.peek_costs(own, intr, &active);
+      logic.decide(own, intr);
+      if (!active) continue;
+      ++alerting;
+      const auto expected = (*table_)->action_costs(
+          tau.tau_s, units::m_to_ft(intr.position_m.z - own.position_m.z),
+          units::m_to_ft(own.velocity_mps.z), units::m_to_ft(intr.velocity_mps.z), memory);
+      for (std::size_t a = 0; a < kNumAdvisories; ++a) {
+        ASSERT_EQ(peeked[a], expected[a]) << "x=" << x << " dz=" << dz << " a=" << a;
+        ASSERT_EQ(logic.last_costs()[a], expected[a]) << "x=" << x << " dz=" << dz;
       }
     }
   }
+  EXPECT_GT(alerting, 0);
 }
 
 TEST_F(BeliefTest, AveragedCostsAreConvexCombinations) {
-  BeliefConfig config;
-  config.h_sigma_ft = 100.0;
-  config.dh_int_sigma_fps = 5.0;
-  BeliefAwareLogic belief(*table_, config);
+  const OnlineConfig config = belief(100.0, 5.0);
+  AcasXuLogic logic(*table_, config);
   const auto own = track(0, 0, 1000, 40, 0, 0);
   const auto intr = track(1200, 0, 1015, -40, 0, -1.0);
-  belief.decide(own, intr);
+  logic.decide(own, intr);
 
   // Recompute the extreme sigma-point costs by hand and bracket.
   const double h = 1015.0 - 1000.0;
   const double h_ft = h * 3.280839895;
-  const double spread_h = std::sqrt(3.0) * config.h_sigma_ft;
-  const double spread_v = std::sqrt(3.0) * config.dh_int_sigma_fps;
-  const double tau = belief.last_tau().tau_s;
+  const double spread_h = std::sqrt(3.0) * config.belief.h_sigma_ft;
+  const double spread_v = std::sqrt(3.0) * config.belief.dh_int_sigma_fps;
+  const double tau = logic.last_tau().tau_s;
   for (std::size_t a = 0; a < kNumAdvisories; ++a) {
     double lo = 1e30;
     double hi = -1e30;
@@ -87,16 +103,16 @@ TEST_F(BeliefTest, AveragedCostsAreConvexCombinations) {
         hi = std::max(hi, costs[a]);
       }
     }
-    EXPECT_GE(belief.last_costs()[a], lo - 1e-6);
-    EXPECT_LE(belief.last_costs()[a], hi + 1e-6);
+    EXPECT_GE(logic.last_costs()[a], lo - 1e-6);
+    EXPECT_LE(logic.last_costs()[a], hi + 1e-6);
   }
 }
 
 TEST_F(BeliefTest, FarTrafficStillCoc) {
-  BeliefAwareLogic belief(*table_);
+  AcasXuLogic logic(*table_, belief());
   const auto own = track(0, 0, 1000, 40, 0, 0);
   const auto intr = track(30000, 0, 1000, -40, 0, 0);
-  EXPECT_EQ(belief.decide(own, intr), Advisory::kCoc);
+  EXPECT_EQ(logic.decide(own, intr), Advisory::kCoc);
 }
 
 TEST_F(BeliefTest, CoordinationMaskRespected) {
@@ -105,10 +121,10 @@ TEST_F(BeliefTest, CoordinationMaskRespected) {
   // back to COC (see UncertaintyChangesCommitmentNearAmbiguity).
   const auto own = track(0, 0, 1000, 40, 0, 0);
   const auto intr = track(900, 0, 1000, -40, 0, 0);
-  BeliefAwareLogic free_logic(*table_);
+  AcasXuLogic free_logic(*table_, belief());
   const Advisory unconstrained = free_logic.decide(own, intr);
   ASSERT_NE(unconstrained, Advisory::kCoc);
-  BeliefAwareLogic constrained(*table_);
+  AcasXuLogic constrained(*table_, belief());
   const Advisory forced = constrained.decide(own, intr, sense_of(unconstrained));
   EXPECT_NE(sense_of(forced), sense_of(unconstrained));
 }
@@ -117,34 +133,30 @@ TEST_F(BeliefTest, UncertaintyChangesCommitmentNearAmbiguity) {
   // Near-ambiguous geometry (small |h|): the belief average smears the
   // sharp sense preference, so across a sweep of small offsets the two
   // logics must disagree somewhere (otherwise the belief adds nothing).
-  BeliefConfig config;
-  config.h_sigma_ft = 150.0;
-  config.dh_int_sigma_fps = 6.0;
   int disagreements = 0;
   for (double dz = -30.0; dz <= 30.0; dz += 5.0) {
     AcasXuLogic point(*table_);
-    BeliefAwareLogic belief(*table_, config);
+    AcasXuLogic smeared(*table_, belief(150.0, 6.0));
     const auto own = track(0, 0, 1000, 40, 0, 0);
     const auto intr = track(1100, 0, 1000 + dz, -40, 0, 0);
-    if (point.decide(own, intr) != belief.decide(own, intr)) ++disagreements;
+    if (point.decide(own, intr) != smeared.decide(own, intr)) ++disagreements;
   }
   EXPECT_GT(disagreements, 0);
 }
 
 TEST_F(BeliefTest, RejectsInvalidConfig) {
-  BeliefConfig bad;
-  bad.h_sigma_ft = -1.0;
-  EXPECT_THROW(BeliefAwareLogic(*table_, bad), ContractViolation);
-  EXPECT_THROW(BeliefAwareLogic(nullptr), ContractViolation);
+  EXPECT_THROW(AcasXuLogic(*table_, belief(-1.0, 1.6)), ContractViolation);
+  EXPECT_THROW(AcasXuLogic(*table_, belief(25.0, -1.0)), ContractViolation);
+  EXPECT_THROW(AcasXuLogic(nullptr, belief()), ContractViolation);
 }
 
 TEST_F(BeliefTest, ResetClearsAdvisory) {
-  BeliefAwareLogic belief(*table_);
+  AcasXuLogic logic(*table_, belief());
   const auto own = track(0, 0, 1000, 40, 0, 0);
   const auto intr = track(900, 0, 1000, -40, 0, 0);
-  ASSERT_NE(belief.decide(own, intr), Advisory::kCoc);
-  belief.reset();
-  EXPECT_EQ(belief.current_advisory(), Advisory::kCoc);
+  ASSERT_NE(logic.decide(own, intr), Advisory::kCoc);
+  logic.reset();
+  EXPECT_EQ(logic.current_advisory(), Advisory::kCoc);
 }
 
 TEST_F(BeliefTest, ModerateBeliefClosedLoopNotLessSafe) {
@@ -155,14 +167,11 @@ TEST_F(BeliefTest, ModerateBeliefClosedLoopNotLessSafe) {
   config.runs_per_encounter = 60;
   config.sim.adsb.vertical_pos_sigma_m = 30.0;
 
-  acasx::BeliefConfig belief;
-  belief.h_sigma_ft = 80.0;
-
   const core::EncounterEvaluator point_eval(config, sim::AcasXuCas::factory(*table_),
                                             sim::AcasXuCas::factory(*table_));
-  const core::EncounterEvaluator belief_eval(
-      config, sim::BeliefAcasXuCas::factory(*table_, belief),
-      sim::BeliefAcasXuCas::factory(*table_, belief));
+  const core::EncounterEvaluator belief_eval(config,
+                                             sim::AcasXuCas::factory(*table_, belief(80.0)),
+                                             sim::AcasXuCas::factory(*table_, belief(80.0)));
 
   const auto head_on = MultiEncounterParams::from_pairwise(encounter::head_on());
   const auto point_result = point_eval.evaluate(head_on, 9);
@@ -175,10 +184,7 @@ TEST_F(BeliefTest, OversizedBeliefSuppressesAlertGradient) {
   // belief far beyond the table's structure and the maneuver-vs-COC
   // gradient washes out, so the logic stops alerting on a genuine
   // co-altitude collision course.
-  acasx::BeliefConfig oversized;
-  oversized.h_sigma_ft = 500.0;
-  oversized.dh_int_sigma_fps = 20.0;
-  BeliefAwareLogic smeared(*table_, oversized);
+  AcasXuLogic smeared(*table_, belief(500.0, 20.0));
   AcasXuLogic point(*table_);
   const auto own = track(0, 0, 1000, 40, 0, 0);
   int point_alerts = 0;

@@ -13,7 +13,6 @@
 #include "core/fitness.h"
 #include "encounter/encounter.h"
 #include "sim/acasx_cas.h"
-#include "sim/combined_cas.h"
 #include "util/expect.h"
 
 namespace cav::acasx {
@@ -214,7 +213,7 @@ TEST_F(CombinedClosedLoopTest, RevisionClosesTheTailBlindSpot) {
   core::FitnessConfig config;
   config.runs_per_encounter = 60;
   const auto vertical_only = sim::AcasXuCas::factory(*vertical_);
-  const auto combined = sim::CombinedCas::factory(*vertical_, *horizontal_);
+  const auto combined = sim::AcasXuCas::factory(*vertical_, {}, {}, {}, nullptr, *horizontal_);
 
   const core::EncounterEvaluator before(config, vertical_only, vertical_only);
   const core::EncounterEvaluator after(config, combined, combined);
@@ -230,7 +229,7 @@ TEST_F(CombinedClosedLoopTest, RevisionClosesTheTailBlindSpot) {
 TEST_F(CombinedClosedLoopTest, RevisionPreservesHeadOnResolution) {
   core::FitnessConfig config;
   config.runs_per_encounter = 60;
-  const auto combined = sim::CombinedCas::factory(*vertical_, *horizontal_);
+  const auto combined = sim::AcasXuCas::factory(*vertical_, {}, {}, {}, nullptr, *horizontal_);
   const core::EncounterEvaluator evaluator(config, combined, combined);
   const auto head =
       evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 2);
@@ -238,7 +237,7 @@ TEST_F(CombinedClosedLoopTest, RevisionPreservesHeadOnResolution) {
 }
 
 TEST_F(CombinedClosedLoopTest, CombinedDecisionChannelsIndependent) {
-  sim::CombinedCas cas(*vertical_, *horizontal_);
+  sim::AcasXuCas cas(*vertical_, {}, {}, {}, nullptr, *horizontal_);
   // Slow overtake: expect a turn without necessarily a vertical advisory.
   const auto d = cas.decide(track(0, 0, 1000, 25, 0, 0), track(-200, 0, 1000, 31, 0, 0),
                             Sense::kNone);
@@ -250,11 +249,12 @@ TEST_F(CombinedClosedLoopTest, CombinedDecisionChannelsIndependent) {
 }
 
 TEST_F(CombinedClosedLoopTest, ResetClearsBothChannels) {
-  sim::CombinedCas cas(*vertical_, *horizontal_);
+  sim::AcasXuCas cas(*vertical_, {}, {}, {}, nullptr, *horizontal_);
   cas.decide(track(0, 0, 1000, 25, 0, 0), track(-300, 0, 1000, 31, 0, 0), Sense::kNone);
   cas.reset();
-  EXPECT_EQ(cas.vertical().current_advisory(), Advisory::kCoc);
-  EXPECT_EQ(cas.horizontal().current_advisory(), TurnAdvisory::kStraight);
+  EXPECT_EQ(cas.logic().current_advisory(), Advisory::kCoc);
+  ASSERT_NE(cas.horizontal(), nullptr);
+  EXPECT_EQ(cas.horizontal()->current_advisory(), TurnAdvisory::kStraight);
 }
 
 }  // namespace

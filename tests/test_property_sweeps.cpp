@@ -16,7 +16,6 @@
 #include "encounter/encounter.h"
 #include "encounter/statistical_model.h"
 #include "sim/acasx_cas.h"
-#include "sim/belief_cas.h"
 #include "sim/simulation.h"
 
 namespace cav {
@@ -35,10 +34,18 @@ class PropertySweepTest : public ::testing::TestWithParam<int> {
     table_ = nullptr;
   }
 
+  /// The belief-aware ACAS Xu at the sigmas it has always been swept at.
+  static acasx::OnlineConfig belief_online() {
+    acasx::OnlineConfig online;
+    online.belief.h_sigma_ft = 25.0;
+    online.belief.dh_int_sigma_fps = 1.6;
+    return online;
+  }
+
   static std::vector<sim::CasFactory> all_systems() {
     return {
         sim::AcasXuCas::factory(*table_),
-        sim::BeliefAcasXuCas::factory(*table_),
+        sim::AcasXuCas::factory(*table_, belief_online()),
         baselines::TcasLikeCas::factory(),
         baselines::SvoCas::factory(),
     };

@@ -277,7 +277,6 @@ TEST_F(PolicyServerTest, ServedCasFactoriesRejectQuantizedServing) {
   pair_->save(path, Quantization::kFloat16);
   const PolicyServer quant_server = PolicyServer::open(path);
   EXPECT_THROW(sim::served_acasx_factory(quant_server), ContractViolation);
-  EXPECT_THROW(sim::served_belief_factory(quant_server), ContractViolation);
 
   // The f32-mapped server wires straight into the CAS adapters.
   const PolicyServer mapped = PolicyServer::open(pair_img_, joint_img_);

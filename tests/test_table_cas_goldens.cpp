@@ -2,7 +2,7 @@
 // the table-backed ACAS Xu CAS, recorded while each variant still had its
 // own logic and adapter classes (a belief-aware logic with its own CAS
 // adapter, and a combined vertical + horizontal CAS).  They pin that the
-// configured AcasXuLogic / AcasXuCas reproduces those classes bit for bit:
+// configured AcasXuLogic / AcasXuCas reproduce those classes bit for bit:
 // (a) a K=1 validation campaign, (b) the converging ring K=4 under both
 // cost-level threat policies (evaluate_costs, evaluate_joint_costs,
 // commit_fused), and (c) the logic's last_costs() over a fixed track
@@ -14,14 +14,12 @@
 #include <memory>
 #include <string>
 
-#include "acasx/belief_logic.h"
 #include "acasx/horizontal.h"
 #include "acasx/joint_solver.h"
 #include "acasx/offline_solver.h"
 #include "core/validation_campaign.h"
 #include "scenarios/scenario_library.h"
-#include "sim/belief_cas.h"
-#include "sim/combined_cas.h"
+#include "sim/acasx_cas.h"
 #include "sim/simulation.h"
 #include "util/thread_pool.h"
 
@@ -61,18 +59,22 @@ class TableCasGoldenTest : public ::testing::Test {
     joint_ = nullptr;
   }
 
-  /// The belief-aware system at the recorded sigmas (25 ft, 1.6 fps).
+  /// The recorded belief: 25 ft / 1.6 fps.
+  static acasx::OnlineConfig belief_online() {
+    acasx::OnlineConfig online;
+    online.belief.h_sigma_ft = 25.0;
+    online.belief.dh_int_sigma_fps = 1.6;
+    return online;
+  }
+  /// The belief-aware system.
   static sim::CasFactory belief(bool with_joint) {
-    acasx::BeliefConfig b;
-    b.h_sigma_ft = 25.0;
-    b.dh_int_sigma_fps = 1.6;
-    return sim::BeliefAcasXuCas::factory(*vertical_, b, {}, {}, {},
-                                         with_joint ? *joint_ : nullptr);
+    return sim::AcasXuCas::factory(*vertical_, belief_online(), {}, {},
+                                   with_joint ? *joint_ : nullptr);
   }
   /// Vertical logic plus the horizontal channel.
   static sim::CasFactory combined(bool with_joint) {
-    return sim::CombinedCas::factory(*vertical_, *horizontal_, {}, {}, {},
-                                     with_joint ? *joint_ : nullptr);
+    return sim::AcasXuCas::factory(*vertical_, {}, {}, {}, with_joint ? *joint_ : nullptr,
+                                   *horizontal_);
   }
 
   static std::shared_ptr<const acasx::LogicTable>* vertical_;
@@ -211,10 +213,7 @@ TEST_F(TableCasGoldenTest, LastCostsOverTrackSweep) {
        {0x1.21cea241b9b7p+13, 0x1.324157c88ee2bp+13, 0x1.16bc53421526bp+13,
         0x1.3571454c12cc6p+13, 0x1.0f135b3d967b7p+13}},
   };
-  acasx::BeliefConfig b;
-  b.h_sigma_ft = 25.0;
-  b.dh_int_sigma_fps = 1.6;
-  acasx::BeliefAwareLogic belief_logic(*vertical_, b);
+  acasx::AcasXuLogic belief_logic(*vertical_, belief_online());
   acasx::AcasXuLogic point_logic(*vertical_);
   // One logic instance per variant across the sweep, so the advisory
   // memory carries from step to step.
