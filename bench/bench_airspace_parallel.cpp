@@ -4,9 +4,10 @@
 // configuration must produce BIT-identical results — trajectories enter
 // the same monitors, the pair minima, NMAC verdicts, and event-core
 // accounting must match the serial run exactly.  Determinism is the hard
-// gate (non-zero exit on any mismatch); speedup is printed as an
-// expectation only — the 1-core CI box can't honor it and must not fail
-// (same policy as E17).
+// gate (non-zero exit on any mismatch).  Beside it sits a speedup gate:
+// on a host with at least 4 hardware threads, the K = 4096 fleet at 4 LPs
+// must run at least kMinSpeedup4Lp times faster than the serial engine.
+// Smoke runs and smaller hosts print the speedup without gating it.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -21,6 +22,9 @@
 #include "util/thread_pool.h"
 
 namespace {
+
+constexpr std::size_t kGatedFleet = 4096;
+constexpr double kMinSpeedup4Lp = 1.3;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -88,6 +92,7 @@ int main(int argc, char** argv) {
               "active pairs", "bit-identical");
 
   bool determinism_ok = true;
+  double gated_speedup = 0.0;  // serial / 4-LP wall at kGatedFleet
   for (const std::size_t k : fleets) {
     const scenarios::Scenario city = scenarios::city_corridors(k, 2016);
     const std::vector<sim::UavState> states = city.initial_states();
@@ -111,6 +116,7 @@ int main(int argc, char** argv) {
     const double serial_s = seconds_since(serial_t0);
     std::printf("%-8zu %-6s %-12.3f %-10s %-14zu %s\n", k, "serial", serial_s,
                 reference.nmac ? "yes" : "no", reference.stats.peak_active_pairs, "(reference)");
+    bench::print_phase_split("serial", reference.stats.phase);
     const std::string key = "e18.k" + std::to_string(k) + ".";
     bench::record_metric(key + "serial.wall_s", serial_s);
 
@@ -126,28 +132,43 @@ int main(int argc, char** argv) {
       std::printf("%-8zu %-6d %-12.3f %-10s %-14zu %s\n", k, num_lps, wall_s,
                   result.nmac ? "yes" : "no", result.stats.peak_active_pairs,
                   match ? "yes" : "NO  <-- FAILURE");
+      if (num_lps == 4) bench::print_phase_split("4 LPs", result.stats.phase);
       bench::record_metric(key + "lp" + std::to_string(num_lps) + ".wall_s", wall_s);
     }
     bench::record_metric(key + "speedup_2lp", walls[0] / walls[1]);
     bench::record_metric(key + "speedup_4lp", walls[0] / walls[2]);
-    std::printf("\n");
+    std::printf("4 LPs vs serial: %.2fx\n\n", serial_s / walls[2]);
+    if (k == kGatedFleet) gated_speedup = serial_s / walls[2];
   }
 
   const unsigned cores = std::thread::hardware_concurrency();
-  if (cores < 2) {
-    std::printf("single-core host (%u): LP speedup is not gated here — the\n"
+  const bool speed_gated = cores >= 4 && !bench::smoke();
+  if (bench::smoke()) {
+    std::printf("smoke mode: workloads are shrunken, timings meaningless — not gated\n");
+  } else if (cores < 4) {
+    std::printf("host has %u hardware threads (< 4): LP speedup is not gated here — the\n"
                 "decision/coordination phase is serial by contract, everything\n"
                 "else stripes across the pool\n",
                 cores);
-  } else if (bench::smoke()) {
-    std::printf("smoke mode: workloads are shrunken, timings meaningless — not gated\n");
   }
 
+  bool ok = true;
   if (!determinism_ok) {
     std::printf("\nFAIL: an LP configuration perturbed the results — the bit-identity "
                 "contract is broken\n");
-    return 1;
+    ok = false;
+  } else {
+    std::printf("\nall LP widths bit-identical to serial — determinism gate passed\n");
   }
-  std::printf("\nall LP widths bit-identical to serial — determinism gate passed\n");
-  return 0;
+  if (speed_gated) {
+    if (gated_speedup < kMinSpeedup4Lp) {
+      std::printf("FAIL: K=%zu at 4 LPs is %.2fx serial, below the %.1fx gate\n", kGatedFleet,
+                  gated_speedup, kMinSpeedup4Lp);
+      ok = false;
+    } else {
+      std::printf("K=%zu at 4 LPs is %.2fx serial (gate %.1fx) — speedup gate passed\n",
+                  kGatedFleet, gated_speedup, kMinSpeedup4Lp);
+    }
+  }
+  return ok ? 0 : 1;
 }

@@ -77,6 +77,7 @@ int main(int argc, char** argv) {
                 adaptive.wall_time_s, have_dense ? std::to_string(dense_s).c_str() : "-",
                 adaptive.stats.peak_active_pairs, dense_pairs, adaptive.stats.fine_agent_steps,
                 adaptive.stats.coarse_agent_steps);
+    bench::print_phase_split("adaptive", adaptive.stats.phase);
     csv.cell(k).cell(adaptive.wall_time_s).cell(dense_s).cell(adaptive.stats.peak_active_pairs)
         .cell(dense_pairs).cell(adaptive.stats.fine_agent_steps)
         .cell(adaptive.stats.coarse_agent_steps).cell(adaptive.stats.monitored_pairs);

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "sim/simulation.h"
+
 namespace cav::bench {
 
 namespace {
@@ -99,6 +101,14 @@ bool compatible(const acasx::AcasXuConfig& cached, const acasx::AcasXuConfig& wa
 }
 
 }  // namespace
+
+void print_phase_split(const char* label, const sim::SimPhaseTimes& phase) {
+  std::printf("  %-8s phases [s]: begin %.3f  grid %.3f  pairs %.3f  surveil %.3f  "
+              "decide+post %.3f  physics %.3f  monitors %.3f  assembly %.3f\n",
+              label, phase.cycle_begin_s, phase.grid_s, phase.active_pairs_s,
+              phase.surveillance_s, phase.decide_post_s, phase.physics_s, phase.monitors_s,
+              phase.assembly_s);
+}
 
 bool smoke() {
   static const bool value = [] {

@@ -10,6 +10,10 @@
 #include "acasx/offline_solver.h"
 #include "util/thread_pool.h"
 
+namespace cav::sim {
+struct SimPhaseTimes;
+}  // namespace cav::sim
+
 namespace cav::bench {
 
 /// Process-wide thread pool for solving and fitness evaluation.
@@ -47,6 +51,10 @@ inline void banner(const char* title) {
   std::printf("%s\n", title);
   std::printf("==============================================================\n");
 }
+
+/// Print one run's engine phase split (SimStats::phase) as an indented
+/// line of seconds per phase, headed by `label`.
+void print_phase_split(const char* label, const sim::SimPhaseTimes& phase);
 
 /// True when CAV_BENCH_SMOKE=1: the `bench-smoke` CMake target sets it so
 /// every perf binary runs its code paths on shrunken workloads (coarse

@@ -22,7 +22,11 @@
 // default `staleness_ttl_cycles == 0` (infinite TTL) a silent or
 // blacked-out sender constrains its receivers forever; a positive TTL
 // decays a link's constraint to kNone once `tick()` has been called more
-// than TTL times since the last delivery on that link.
+// than TTL times since the last delivery on that link.  The clock is one
+// cycle counter plus a per-link delivery stamp: a tick costs O(1) whatever
+// the fleet size, and a link's age (`cycle - stamp`) is computed only when
+// a positive TTL asks for it.  The link arrays are still dense K×K
+// (6 bytes per link).
 //
 // This channel is the engine's serial seam: agent i's decision reads the
 // senses agents j < i posted *this* cycle, and every delivery attempt
@@ -32,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "acasx/advisory.h"
@@ -66,7 +71,7 @@ class CoordinationChannel {
       : config_(config),
         num_agents_(num_agents),
         delivered_(num_agents * num_agents, acasx::Sense::kNone),
-        age_cycles_(num_agents * num_agents, 0),
+        stamp_(num_agents * num_agents, 0),
         link_bad_(num_agents * num_agents, 0) {
     expect(num_agents >= 2, "coordination needs at least two aircraft");
   }
@@ -104,12 +109,13 @@ class CoordinationChannel {
   }
 
   /// Advance the staleness clock one decision cycle (call once per cycle,
-  /// before the cycle's posts).  Ages saturate; with the default infinite
-  /// TTL they are tracked but never read.
+  /// before the cycle's posts).  O(1): links are not visited.  Throws
+  /// rather than let the 32-bit counter wrap, which would make a stale
+  /// link look freshly delivered.
   void tick() {
-    for (int& age : age_cycles_) {
-      if (age < kMaxAge) ++age;
-    }
+    expect(cycle_ < std::numeric_limits<std::uint32_t>::max(),
+           "coordination clock below 2^32 - 1 cycles");
+    ++cycle_;
   }
 
   /// The sense forbidden to aircraft `receiver` by aircraft `threat`:
@@ -120,7 +126,8 @@ class CoordinationChannel {
     if (!config_.enabled) return acasx::Sense::kNone;
     const std::size_t link = static_cast<std::size_t>(receiver) * num_agents_ +
                              static_cast<std::size_t>(threat);
-    if (config_.staleness_ttl_cycles > 0 && age_cycles_[link] > config_.staleness_ttl_cycles) {
+    if (config_.staleness_ttl_cycles > 0 &&
+        cycle_ - stamp_[link] > static_cast<std::uint32_t>(config_.staleness_ttl_cycles)) {
       return acasx::Sense::kNone;
     }
     return delivered_[link];
@@ -143,8 +150,9 @@ class CoordinationChannel {
 
   void reset() {
     delivered_.assign(delivered_.size(), acasx::Sense::kNone);
-    age_cycles_.assign(age_cycles_.size(), 0);
+    stamp_.assign(stamp_.size(), 0);
     link_bad_.assign(link_bad_.size(), 0);
+    cycle_ = 0;
   }
 
  private:
@@ -164,16 +172,17 @@ class CoordinationChannel {
     if (loss > 0.0 && rng.chance(loss)) return;
     if (deaf != nullptr && (*deaf)[static_cast<std::size_t>(receiver)]) return;
     delivered_[link] = sense;
-    age_cycles_[link] = 0;
+    stamp_[link] = cycle_;
   }
-
-  static constexpr int kMaxAge = 1 << 28;  ///< saturation bound for ages
 
   CoordinationConfig config_;
   std::size_t num_agents_;
   std::vector<acasx::Sense> delivered_;  ///< [receiver * N + sender]
-  std::vector<int> age_cycles_;          ///< tick()s since last delivery per link
+  /// cycle_ at the last delivery per link.  4 bytes on purpose: at
+  /// K = 4096 every extra byte per link is 16.7 MB.
+  std::vector<std::uint32_t> stamp_;
   std::vector<std::uint8_t> link_bad_;   ///< Gilbert–Elliott BAD flag per link
+  std::uint32_t cycle_ = 0;              ///< tick()s since construction or reset()
 };
 
 }  // namespace cav::sim

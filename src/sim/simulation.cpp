@@ -287,19 +287,11 @@ void Simulation::decide_for(AgentRuntime& me, std::size_t my_id, double t_s) {
   me.report.final_advisory = decision.label;
 }
 
-void Simulation::decide_all(double t_s) {
-  // Staleness clock + per-agent comms-blackout mask for this cycle.  The
-  // tick touches no RNG; the mask comes from the event queue (blackout
-  // window edges drained by begin_decision_cycle), which reproduces the
-  // per-cycle window scan exactly.
-  coord_.tick();
-  for (std::size_t i = 0; i < runtimes_.size(); ++i) {
-    comms_down_[i] = blackout_depth_[i] > 0;
-  }
-
+void Simulation::decide_all(double t_s, SimStats* stats) {
   // Surveillance phase: LP-parallel, then a barrier — every track picture
   // is complete before the first decision is taken.
   refresh_surveillance();
+  lap(&stats->phase.surveillance_s);
 
   // Sequential decisions: lower-index aircraft announce first, so a later
   // aircraft sees a fresh constraint (the paper's own-ship -> intruder
@@ -319,6 +311,7 @@ void Simulation::decide_all(double t_s) {
     coord_.post(static_cast<int>(i), runtimes_[i].last_sense, rng_coord_, &comms_down_,
                 airspace_.neighbors_of(i));
   }
+  lap(&stats->phase.decide_post_s);
 }
 
 void Simulation::record_sample(double t_s, SimResult& result) const {
@@ -343,13 +336,19 @@ void Simulation::refresh_positions(bool active_only) {
 
 void Simulation::begin_decision_cycle(double t_s, SimStats* stats) {
   // 1. Drain scheduled fault events up to the accumulated clock.  Each
-  //    blackout edge adjusts a per-agent depth counter; decide_all reads
-  //    depth > 0 as "comms down", matching the legacy window scan.
+  //    blackout edge adjusts a per-agent depth counter, and this cycle's
+  //    comms-blackout mask reads depth > 0 as "comms down", matching the
+  //    legacy window scan.  The coordination staleness clock ticks here
+  //    too; it touches no RNG.
   while (events_.has_due(t_s)) {
     const Event e = events_.pop();
     blackout_depth_[static_cast<std::size_t>(e.agent)] +=
         e.type == EventType::kCommsBlackoutStart ? 1 : -1;
     ++stats->fault_events;
+  }
+  coord_.tick();
+  for (std::size_t i = 0; i < runtimes_.size(); ++i) {
+    comms_down_[i] = blackout_depth_[i] > 0;
   }
 
   // 2. Catch inactive agents up to the decision time with one coarse step
@@ -371,10 +370,12 @@ void Simulation::begin_decision_cycle(double t_s, SimStats* stats) {
     lp_step_counts_[static_cast<std::size_t>(lp)] = steps;
   });
   for (const std::uint64_t steps : lp_step_counts_) stats->coarse_agent_steps += steps;
+  lap(&stats->phase.cycle_begin_s);
 
   // 3. Rebuild the spatial index at the now-synchronized positions.
   refresh_positions(false);
   airspace_.rebuild(positions_);
+  lap(&stats->phase.grid_s);
 
   // 4. Refresh the monitor set from the near pairs.  Newly materialized
   //    pairs are sampled at the activation time; pairs already active were
@@ -391,6 +392,7 @@ void Simulation::begin_decision_cycle(double t_s, SimStats* stats) {
   for (std::size_t i = 0; i < runtimes_.size(); ++i) {
     runtimes_[i].active = !airspace_.neighbors_of(i).empty();
   }
+  lap(&stats->phase.active_pairs_s);
 }
 
 void Simulation::advance_period(double* t_io, std::size_t n_sub, double tail_dt,
@@ -438,17 +440,26 @@ void Simulation::advance_period(double* t_io, std::size_t n_sub, double tail_dt,
     lp_step_counts_[static_cast<std::size_t>(lp)] = steps;
   });
   for (const std::uint64_t steps : lp_step_counts_) stats->fine_agent_steps += steps;
+  lap(&stats->phase.physics_s);
 
   // Monitor phase (after the physics barrier): replay the snapshots over
   // the active pairs, slot-partitioned across LPs.
   monitors_.update_series(step_times_, step_positions_, n_sub, parallel.num_lps, parallel.pool);
   stats->pair_updates += static_cast<std::uint64_t>(n_sub) * monitors_.num_active_pairs();
+  lap(&stats->phase.monitors_s);
 
   *t_io = step_times_[n_sub - 1];
 }
 
+void Simulation::lap(double* phase_s) {
+  const auto now = std::chrono::steady_clock::now();
+  *phase_s += std::chrono::duration<double>(now - lap_start_).count();
+  lap_start_ = now;
+}
+
 SimResult Simulation::run() {
   const auto wall_start = std::chrono::steady_clock::now();
+  lap_start_ = wall_start;
   SimResult result;
 
   const double dt = config_.dt_dynamics_s;
@@ -475,10 +486,11 @@ SimResult Simulation::run() {
   std::size_t step = 0;
   while (step < total_steps) {
     begin_decision_cycle(t, &result.stats);
-    decide_all(t);
+    decide_all(t, &result.stats);
     if (config_.record_trajectory &&
         result.stats.decision_cycles % static_cast<std::uint64_t>(config_.record_every_n) == 0) {
       record_sample(t, result);
+      lap(&result.stats.phase.assembly_s);
     }
     ++result.stats.decision_cycles;
 
@@ -508,8 +520,8 @@ SimResult Simulation::run() {
   for (const AgentRuntime& r : runtimes_) result.agents.push_back(r.report);
   result.elapsed_s = t;
   result.stats.monitored_pairs = monitors_.num_pairs();
-  result.wall_time_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+  lap(&result.stats.phase.assembly_s);
+  result.wall_time_s = std::chrono::duration<double>(lap_start_ - wall_start).count();
   return result;
 }
 

@@ -35,6 +35,7 @@
 // this boundary.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -90,9 +91,25 @@ struct SimConfig {
   int record_every_n = 1;
 };
 
+/// Host wall time per engine phase, summed over one run() in seconds.  The
+/// phases tile run() — one steady_clock read per phase boundary — so they
+/// add up to SimResult::wall_time_s.  Like that field, they are not part
+/// of the determinism contract: no digest or equality check reads them.
+struct SimPhaseTimes {
+  double cycle_begin_s = 0.0;   ///< fault events, coordination clock, coarse catch-up
+  double grid_s = 0.0;          ///< spatial index rebuild
+  double active_pairs_s = 0.0;  ///< set_active_pairs, fresh-pair samples, active set
+  double surveillance_s = 0.0;  ///< ADS-B reception (LP-parallel)
+  double decide_post_s = 0.0;   ///< serial decisions and coordination posts
+  double physics_s = 0.0;       ///< physics substeps (LP-parallel)
+  double monitors_s = 0.0;      ///< pair-monitor replay (LP-parallel)
+  double assembly_s = 0.0;      ///< trajectory samples and the result reports
+};
+
 /// Event-core accounting for one run — what the adaptive engine actually
 /// did, so benches and tests can assert O(near pairs) behavior instead of
-/// inferring it from wall clock alone.
+/// inferring it from wall clock alone.  Every field but `phase` is a
+/// deterministic count.
 struct SimStats {
   std::uint64_t decision_cycles = 0;
   std::uint64_t fine_agent_steps = 0;    ///< UavAgent::step calls at the physics dt
@@ -101,6 +118,7 @@ struct SimStats {
   std::uint64_t pair_updates = 0;        ///< per-pair monitor updates
   std::size_t monitored_pairs = 0;       ///< pair-monitor slots materialized
   std::size_t peak_active_pairs = 0;     ///< largest per-cycle near-pair set
+  SimPhaseTimes phase;                   ///< host timing, outside the contract
 };
 
 struct AgentReport {
@@ -233,7 +251,7 @@ class Simulation {
 
  private:
   void decide_for(AgentRuntime& me, std::size_t my_id, double t_s);
-  void decide_all(double t_s);
+  void decide_all(double t_s, SimStats* stats);
   void receive_track(AgentRuntime& me, TrackSlot& slot);
   void refresh_tracks(AgentRuntime& me, const std::vector<int>& neighbors);
   /// Surveillance phase: every equipped agent receives this cycle's
@@ -243,9 +261,10 @@ class Simulation {
   void refresh_surveillance();
   void record_sample(double t_s, SimResult& result) const;
   void refresh_positions(bool active_only);
-  /// Drain due fault events, catch up coarse agents, rebuild the spatial
-  /// index, refresh the monitor set, and recompute the active set — the
-  /// per-decision-cycle event-core work, before the decisions themselves.
+  /// Drain due fault events, advance the coordination clock, catch up
+  /// coarse agents, rebuild the spatial index, refresh the monitor set,
+  /// and recompute the active set — the per-decision-cycle event-core
+  /// work, before the decisions themselves.
   void begin_decision_cycle(double t_s, SimStats* stats);
   /// The LP event loop for one decision period: integrate every active
   /// agent through `n_sub` physics substeps (recording a position snapshot
@@ -253,6 +272,9 @@ class Simulation {
   /// `tail_dt`, when positive, replaces the physics dt on the last substep
   /// (the clamped run-closing step).  Advances *t_io to the period end.
   void advance_period(double* t_io, std::size_t n_sub, double tail_dt, SimStats* stats);
+  /// Close the phase that began at the previous lap: add the time since
+  /// then to `*phase_s` and start the next phase now.
+  void lap(double* phase_s);
 
   SimConfig config_;
   std::vector<AgentRuntime> runtimes_;
@@ -273,6 +295,7 @@ class Simulation {
   std::vector<double> step_times_;
   std::vector<std::vector<Vec3>> step_positions_;
   std::vector<std::uint64_t> lp_step_counts_;  ///< per-LP step tallies, summed serially
+  std::chrono::steady_clock::time_point lap_start_;  ///< start of the phase being timed
 };
 
 /// Run one two-aircraft encounter to completion (the paper's setup).

@@ -24,31 +24,33 @@ AircraftTrack track(double x, double y, double z, double vx, double vy, double v
   return {{x, y, z}, {vx, vy, vz}};
 }
 
+/// The coarse horizontal table, solved once per test binary: both suites
+/// below read it, and under the sanitizers the solve dominates them.
+const std::shared_ptr<const HorizontalTable>& coarse_horizontal_table() {
+  static const std::shared_ptr<const HorizontalTable> table = [] {
+    ThreadPool pool;
+    return std::make_shared<const HorizontalTable>(
+        solve_horizontal_table(HorizontalConfig::coarse(), &pool));
+  }();
+  return table;
+}
+
 class HorizontalTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    ThreadPool pool;
-    table_ = new std::shared_ptr<const HorizontalTable>(std::make_shared<const HorizontalTable>(
-        solve_horizontal_table(HorizontalConfig::coarse(), &pool)));
+  static const std::shared_ptr<const HorizontalTable>& table() {
+    return coarse_horizontal_table();
   }
-  static void TearDownTestSuite() {
-    delete table_;
-    table_ = nullptr;
-  }
-  static const HorizontalConfig& config() { return (*table_)->config(); }
-  static std::shared_ptr<const HorizontalTable>* table_;
+  static const HorizontalConfig& config() { return table()->config(); }
 };
 
-std::shared_ptr<const HorizontalTable>* HorizontalTest::table_ = nullptr;
-
 TEST_F(HorizontalTest, AllEntriesFinite) {
-  for (const float q : (*table_)->raw()) {
+  for (const float q : table()->raw()) {
     ASSERT_TRUE(std::isfinite(q));
   }
 }
 
 TEST_F(HorizontalTest, ConflictDiskIsAbsorbingCost) {
-  const auto costs = (*table_)->action_costs(0.0, 0.0, 10.0, 0.0);
+  const auto costs = table()->action_costs(0.0, 0.0, 10.0, 0.0);
   for (const double c : costs) {
     EXPECT_NEAR(c, config().conflict_cost, 1.0);
   }
@@ -56,7 +58,7 @@ TEST_F(HorizontalTest, ConflictDiskIsAbsorbingCost) {
 
 TEST_F(HorizontalTest, SafeDivergingStatePrefersStraight) {
   // Intruder behind and receding: straight collects the reward.
-  const auto costs = (*table_)->action_costs(-1200.0, 0.0, -30.0, 0.0);
+  const auto costs = table()->action_costs(-1200.0, 0.0, -30.0, 0.0);
   EXPECT_LT(costs[0], costs[1]);
   EXPECT_LT(costs[0], costs[2]);
   // Value approaches the all-straight fixed point -reward/(1-discount).
@@ -70,7 +72,7 @@ TEST_F(HorizontalTest, SlowOvertakeThreatIsVisible) {
   // near the conflict disk turning beats holding course.  (Far out, the
   // DP rationally defers the turn — see SlowOvertakeDefersTurnWhenFar.)
   for (const double rv : {4.0, 6.0, 12.0}) {
-    const auto costs = (*table_)->action_costs(-200.0, 0.0, rv, 0.0);
+    const auto costs = table()->action_costs(-200.0, 0.0, rv, 0.0);
     const double best = *std::min_element(costs.begin(), costs.end());
     EXPECT_GT(best, 0.0) << "rv = " << rv << ": slow overtake must not look safe";
     EXPECT_LT(std::min(costs[1], costs[2]), costs[0]) << "rv = " << rv;
@@ -81,8 +83,8 @@ TEST_F(HorizontalTest, SlowOvertakeDefersTurnWhenFar) {
   // 800 m out at 4 m/s the conflict is minutes away: holding course and
   // turning later is cheaper — but the state must still cost more than a
   // diverging one (the threat is visible, just not urgent).
-  const auto closing = (*table_)->action_costs(-800.0, 0.0, 4.0, 0.0);
-  const auto diverging = (*table_)->action_costs(-800.0, 0.0, -4.0, 0.0);
+  const auto closing = table()->action_costs(-800.0, 0.0, 4.0, 0.0);
+  const auto diverging = table()->action_costs(-800.0, 0.0, -4.0, 0.0);
   EXPECT_LT(closing[0], std::min(closing[1], closing[2]));
   const double best_closing = *std::min_element(closing.begin(), closing.end());
   const double best_diverging = *std::min_element(diverging.begin(), diverging.end());
@@ -92,8 +94,8 @@ TEST_F(HorizontalTest, SlowOvertakeDefersTurnWhenFar) {
 TEST_F(HorizontalTest, MirrorSymmetry) {
   // Reflecting the geometry across the own-ship axis (dy -> -dy,
   // rvy -> -rvy) swaps the left/right advisories.
-  const auto costs = (*table_)->action_costs(900.0, 300.0, -40.0, -5.0);
-  const auto mirrored = (*table_)->action_costs(900.0, -300.0, -40.0, 5.0);
+  const auto costs = table()->action_costs(900.0, 300.0, -40.0, -5.0);
+  const auto mirrored = table()->action_costs(900.0, -300.0, -40.0, 5.0);
   EXPECT_NEAR(costs[0], mirrored[0], 1.0);
   EXPECT_NEAR(costs[static_cast<std::size_t>(TurnAdvisory::kTurnLeft)],
               mirrored[static_cast<std::size_t>(TurnAdvisory::kTurnRight)], 1.0);
@@ -105,7 +107,7 @@ TEST_F(HorizontalTest, CostDecreasesWithMissDistance) {
   // Same closing velocity, growing lateral offset: the best cost falls.
   double previous = std::numeric_limits<double>::infinity();
   for (const double dy : {0.0, 400.0, 800.0, 1400.0}) {
-    const auto costs = (*table_)->action_costs(1000.0, dy, -40.0, 0.0);
+    const auto costs = table()->action_costs(1000.0, dy, -40.0, 0.0);
     const double best = *std::min_element(costs.begin(), costs.end());
     EXPECT_LE(best, previous + 1.0) << "dy = " << dy;
     previous = best;
@@ -146,13 +148,13 @@ TEST_F(HorizontalTest, ParallelMatchesSerial) {
 }
 
 TEST_F(HorizontalTest, OnlineFarTrafficStraight) {
-  HorizontalLogic logic(*table_);
+  HorizontalLogic logic(table());
   EXPECT_EQ(logic.decide(track(0, 0, 1000, 35, 0, 0), track(9000, 0, 1000, -35, 0, 0)),
             TurnAdvisory::kStraight);
 }
 
 TEST_F(HorizontalTest, OnlineSlowOvertakeTurns) {
-  HorizontalLogic logic(*table_);
+  HorizontalLogic logic(table());
   // Own at 25 m/s, intruder 200 m behind at 31 m/s on the same course:
   // inside the turn-now region of the solved policy.
   const auto a = logic.decide(track(0, 0, 1000, 25, 0, 0), track(-200, 0, 1000, 31, 0, 0));
@@ -161,16 +163,16 @@ TEST_F(HorizontalTest, OnlineSlowOvertakeTurns) {
 
 TEST_F(HorizontalTest, OnlineBodyFrameIsHeadingRelative) {
   // The same geometry rotated by 90 degrees must give the same advisory.
-  HorizontalLogic logic_east(*table_);
+  HorizontalLogic logic_east(table());
   const auto east = logic_east.decide(track(0, 0, 1000, 25, 0, 0), track(-300, 40, 1000, 31, 0, 0));
-  HorizontalLogic logic_north(*table_);
+  HorizontalLogic logic_north(table());
   const auto north =
       logic_north.decide(track(0, 0, 1000, 0, 25, 0), track(-40, -300, 1000, 0, 31, 0));
   EXPECT_EQ(east, north);
 }
 
 TEST_F(HorizontalTest, OnlineZeroSpeedIsStraight) {
-  HorizontalLogic logic(*table_);
+  HorizontalLogic logic(table());
   EXPECT_EQ(logic.decide(track(0, 0, 1000, 0, 0, 0), track(-300, 0, 1000, 31, 0, 0)),
             TurnAdvisory::kStraight);
 }
@@ -192,28 +194,24 @@ class CombinedClosedLoopTest : public ::testing::Test {
     ThreadPool pool;
     vertical_ = new std::shared_ptr<const LogicTable>(std::make_shared<const LogicTable>(
         solve_logic_table(AcasXuConfig::coarse(), &pool)));
-    horizontal_ = new std::shared_ptr<const HorizontalTable>(
-        std::make_shared<const HorizontalTable>(
-            solve_horizontal_table(HorizontalConfig::coarse(), &pool)));
   }
   static void TearDownTestSuite() {
     delete vertical_;
-    delete horizontal_;
     vertical_ = nullptr;
-    horizontal_ = nullptr;
   }
   static std::shared_ptr<const LogicTable>* vertical_;
-  static std::shared_ptr<const HorizontalTable>* horizontal_;
+  static const std::shared_ptr<const HorizontalTable>& horizontal() {
+    return coarse_horizontal_table();
+  }
 };
 
 std::shared_ptr<const LogicTable>* CombinedClosedLoopTest::vertical_ = nullptr;
-std::shared_ptr<const HorizontalTable>* CombinedClosedLoopTest::horizontal_ = nullptr;
 
 TEST_F(CombinedClosedLoopTest, RevisionClosesTheTailBlindSpot) {
   core::FitnessConfig config;
   config.runs_per_encounter = 60;
   const auto vertical_only = sim::AcasXuCas::factory(*vertical_);
-  const auto combined = sim::AcasXuCas::factory(*vertical_, {}, {}, {}, nullptr, *horizontal_);
+  const auto combined = sim::AcasXuCas::factory(*vertical_, {}, {}, {}, nullptr, horizontal());
 
   const core::EncounterEvaluator before(config, vertical_only, vertical_only);
   const core::EncounterEvaluator after(config, combined, combined);
@@ -229,7 +227,7 @@ TEST_F(CombinedClosedLoopTest, RevisionClosesTheTailBlindSpot) {
 TEST_F(CombinedClosedLoopTest, RevisionPreservesHeadOnResolution) {
   core::FitnessConfig config;
   config.runs_per_encounter = 60;
-  const auto combined = sim::AcasXuCas::factory(*vertical_, {}, {}, {}, nullptr, *horizontal_);
+  const auto combined = sim::AcasXuCas::factory(*vertical_, {}, {}, {}, nullptr, horizontal());
   const core::EncounterEvaluator evaluator(config, combined, combined);
   const auto head =
       evaluator.evaluate(MultiEncounterParams::from_pairwise(encounter::head_on()), 2);
@@ -237,7 +235,7 @@ TEST_F(CombinedClosedLoopTest, RevisionPreservesHeadOnResolution) {
 }
 
 TEST_F(CombinedClosedLoopTest, CombinedDecisionChannelsIndependent) {
-  sim::AcasXuCas cas(*vertical_, {}, {}, {}, nullptr, *horizontal_);
+  sim::AcasXuCas cas(*vertical_, {}, {}, {}, nullptr, horizontal());
   // Slow overtake: expect a turn without necessarily a vertical advisory.
   const auto d = cas.decide(track(0, 0, 1000, 25, 0, 0), track(-200, 0, 1000, 31, 0, 0),
                             Sense::kNone);
@@ -249,7 +247,7 @@ TEST_F(CombinedClosedLoopTest, CombinedDecisionChannelsIndependent) {
 }
 
 TEST_F(CombinedClosedLoopTest, ResetClearsBothChannels) {
-  sim::AcasXuCas cas(*vertical_, {}, {}, {}, nullptr, *horizontal_);
+  sim::AcasXuCas cas(*vertical_, {}, {}, {}, nullptr, horizontal());
   cas.decide(track(0, 0, 1000, 25, 0, 0), track(-300, 0, 1000, 31, 0, 0), Sense::kNone);
   cas.reset();
   EXPECT_EQ(cas.logic().current_advisory(), Advisory::kCoc);

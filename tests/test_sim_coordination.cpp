@@ -195,6 +195,75 @@ TEST(Coordination, InfiniteTtlNeverDecays) {
   EXPECT_EQ(channel.forbidden_for(1), acasx::Sense::kClimb);
 }
 
+TEST(Coordination, LinksIntoOneReceiverDecayOnTheirOwnSchedules) {
+  // Two links into receiver 0 deliver on different cycles; each link's
+  // TTL counts from its own delivery, not from the receiver's last one.
+  CoordinationConfig config;
+  config.staleness_ttl_cycles = 2;
+  CoordinationChannel channel(config, /*num_agents=*/3);
+  RngStream rng(16);
+  const std::vector<int> to_zero = {0};
+  channel.post(1, acasx::Sense::kClimb, rng, nullptr, to_zero);  // cycle 0
+  channel.tick();
+  channel.post(2, acasx::Sense::kDescend, rng, nullptr, to_zero);  // cycle 1
+  channel.tick();
+  channel.tick();  // cycle 3: link 0<-1 is 3 old, link 0<-2 is 2 old
+  EXPECT_EQ(channel.forbidden_for(0, 1), acasx::Sense::kNone);
+  EXPECT_EQ(channel.forbidden_for(0, 2), acasx::Sense::kDescend);
+  channel.tick();  // cycle 4: both past the TTL
+  EXPECT_EQ(channel.forbidden_for(0, 1), acasx::Sense::kNone);
+  EXPECT_EQ(channel.forbidden_for(0, 2), acasx::Sense::kNone);
+  // Nothing was posted towards receivers 1 and 2.
+  EXPECT_EQ(channel.forbidden_for(1, 2), acasx::Sense::kNone);
+  EXPECT_EQ(channel.forbidden_for(2, 1), acasx::Sense::kNone);
+}
+
+TEST(Coordination, ResetRestartsTheStalenessClock) {
+  CoordinationConfig config;
+  config.staleness_ttl_cycles = 2;
+  CoordinationChannel channel(config);
+  RngStream rng(17);
+  for (int cycle = 0; cycle < 5; ++cycle) channel.tick();
+  channel.post(0, acasx::Sense::kClimb, rng);  // delivered at cycle 5
+  channel.reset();
+  EXPECT_EQ(channel.forbidden_for(1), acasx::Sense::kNone);  // gone with the reset
+  // After the reset the clock is back at 0: a delivery now stays fresh
+  // for exactly TTL ticks, as on a new channel.
+  channel.post(0, acasx::Sense::kDescend, rng);
+  channel.tick();
+  channel.tick();
+  EXPECT_EQ(channel.forbidden_for(1), acasx::Sense::kDescend);
+  channel.tick();
+  EXPECT_EQ(channel.forbidden_for(1), acasx::Sense::kNone);
+}
+
+TEST(Coordination, TickWithinTtlLeavesEveryReadUnchanged) {
+  // A tick is only the clock: with no posts, every link reads the same
+  // after it as before it while the deliveries are within the TTL.
+  CoordinationConfig config;
+  config.staleness_ttl_cycles = 2;
+  constexpr int kAgents = 4;
+  CoordinationChannel channel(config, kAgents);
+  RngStream rng(18);
+  channel.post(0, acasx::Sense::kClimb, rng);
+  channel.tick();
+  channel.post(2, acasx::Sense::kDescend, rng, nullptr, std::vector<int>{1, 3});
+  std::vector<acasx::Sense> before;
+  for (int r = 0; r < kAgents; ++r) {
+    for (int t = 0; t < kAgents; ++t) before.push_back(channel.forbidden_for(r, t));
+  }
+  channel.tick();  // link r<-0 is now 2 old: at the TTL, not past it
+  std::size_t link = 0;
+  for (int r = 0; r < kAgents; ++r) {
+    for (int t = 0; t < kAgents; ++t, ++link) {
+      EXPECT_EQ(channel.forbidden_for(r, t), before[link]) << "link " << r << "<-" << t;
+    }
+  }
+  EXPECT_EQ(channel.forbidden_for(1, 0), acasx::Sense::kClimb);
+  EXPECT_EQ(channel.forbidden_for(3, 2), acasx::Sense::kDescend);
+  EXPECT_EQ(channel.forbidden_for(0, 2), acasx::Sense::kNone);  // 0 was not a receiver
+}
+
 TEST(Coordination, DeafReceiverGetsNothingButLinkStateEvolves) {
   CoordinationConfig config;
   CoordinationChannel channel(config, /*num_agents=*/3);

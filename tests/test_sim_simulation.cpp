@@ -113,6 +113,25 @@ TEST(Simulation, TrajectoryRecordingSampledPerDecisionCycle) {
   }
 }
 
+TEST(Simulation, PhaseTimesTileTheRun) {
+  // One steady_clock read per phase boundary: every phase is a
+  // non-negative share and together they are the run's wall time.
+  SimConfig config = quiet_config();
+  config.max_time_s = 20.0;
+  config.record_trajectory = true;
+  const auto result = run_encounter(config, unequipped(state_at(0, 0, 1000, 10, 0, 0)),
+                                    unequipped(state_at(5000, 0, 1000, 10, kPi, 0)), 3);
+  const SimPhaseTimes& p = result.stats.phase;
+  double total_s = 0.0;
+  for (const double phase_s : {p.cycle_begin_s, p.grid_s, p.active_pairs_s, p.surveillance_s,
+                               p.decide_post_s, p.physics_s, p.monitors_s, p.assembly_s}) {
+    EXPECT_GE(phase_s, 0.0);
+    total_s += phase_s;
+  }
+  EXPECT_GT(p.physics_s, 0.0);
+  EXPECT_NEAR(total_s, result.wall_time_s, 1e-9);
+}
+
 TEST(Simulation, RejectsBadConfig) {
   SimConfig config;
   config.dt_dynamics_s = 0.0;
